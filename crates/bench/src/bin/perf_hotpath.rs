@@ -1,5 +1,6 @@
-//! Hot-path throughput suite: event-queue ops, FIB lookups, and
-//! end-to-end incast simulation rate, emitted as `BENCH_hotpath.json`.
+//! Hot-path throughput suite: event-queue ops, FIB lookups, the §5.1
+//! NetFPGA forward-versus-detour decision, and end-to-end incast
+//! simulation rate, emitted as `BENCH_hotpath.json`.
 //!
 //! This binary seeds the repository's perf trajectory: it pins the pre-PR
 //! baseline numbers (measured on the heap-based event queue and the
@@ -28,6 +29,7 @@ use dibs_json::{Json, ObjBuilder};
 use dibs_net::builders::{fat_tree, FatTreeParams};
 use dibs_net::ids::{FlowId, HostId, NodeId};
 use dibs_net::routing::Fib;
+use dibs_switch::lookup::{decide, PortBitmap};
 use std::hint::black_box;
 
 /// Pre-PR hot-path baseline, measured at commit `eb3fc25` (binary heap
@@ -145,9 +147,41 @@ fn bench_fib(s: &mut Suite) {
     s.cases.push(m);
 }
 
+/// The §5.1 hardware-substitution case: the NetFPGA output-port-lookup
+/// stage as a bitmap decision. The paper's claim is that the DIBS detour
+/// decision completes in the same clock cycle as the plain lookup; the
+/// software model reproduces it when `detour_decision` costs about what
+/// `forward_hit` does, a few nanoseconds either way.
+fn bench_netfpga(s: &mut Suite) {
+    let g = Group::new("netfpga_lookup");
+    let desired = PortBitmap::single(3);
+    let eligible = PortBitmap::from_ports(4..8);
+    for (case, available) in [
+        // Desired port has room: plain forwarding.
+        ("forward_hit", PortBitmap::from_ports(0..8)),
+        // Desired port full: the DIBS detour path (the "extra" logic).
+        (
+            "detour_decision",
+            PortBitmap::from_ports([0, 1, 2, 4, 5, 6, 7]),
+        ),
+    ] {
+        let mut entropy = 0u64;
+        let m = g.case(case, || {
+            entropy = entropy.wrapping_add(0x9E37_79B9);
+            black_box(decide(
+                black_box(desired),
+                black_box(available),
+                black_box(eligible),
+                entropy,
+            ))
+        });
+        s.cases.push(m);
+    }
+}
+
 fn bench_e2e(s: &mut Suite) {
     let g = Group::new("e2e");
-    // Mirrors `benches/e2e_sim.rs`: one full testbed incast per iteration.
+    // One full testbed incast per iteration.
     let (senders, bytes) = if s.smoke { (4, 32_000) } else { (10, 32_000) };
     for (name, cfg) in [
         ("incast_dibs", SimConfig::dctcp_dibs()),
@@ -267,6 +301,7 @@ fn main() {
 
     bench_event_queue(&mut suite);
     bench_fib(&mut suite);
+    bench_netfpga(&mut suite);
     bench_e2e(&mut suite);
 
     let json = report(&suite);

@@ -1,7 +1,7 @@
-//! A dependency-free microbenchmark runner for the `benches/` binaries.
+//! A dependency-free microbenchmark runner for the bench binaries.
 //!
-//! Each benchmark target is a plain `main` (declared `harness = false`); this
-//! module supplies the measurement loop: auto-calibrated iteration counts,
+//! Each benchmark binary (`perf_hotpath`) is a plain `main`; this module
+//! supplies the measurement loop: auto-calibrated iteration counts,
 //! best-of-N timing to suppress scheduler noise, and an aligned report line
 //! per case. Cases that process a known number of items per iteration report
 //! a throughput rate (items/sec) alongside the wall time, and finished

@@ -2,34 +2,25 @@
 //!
 //! The simulator's results are only as trustworthy as its bookkeeping:
 //! every packet that a host injects must end up in exactly one of the
-//! terminal or transient states the counters describe. This module
-//! keeps an O(1) ledger of the transient states and, in debug builds
-//! (which includes every `cargo test` run), asserts the conservation
-//! law
+//! terminal or transient states the counters describe. Every packet
+//! between its send and its delivery or drop lives in the simulation's
+//! `PacketStore`, whose live count is O(1), so the conservation law
 //!
 //! ```text
-//! sent == delivered + dropped + in_nic + in_ingress + in_buffer + in_events
+//! sent == delivered + dropped + in_flight      (in_flight = store.live())
 //! ```
 //!
-//! where `in_events` counts the packets currently riding inside
-//! scheduled `TxComplete`/`Arrive`/`ForwardDone` events (serialization
-//! and propagation delays), and the other transient buckets are read
-//! directly from the NIC, CIOQ ingress, and switch buffer state.
-//!
-//! The check runs every [`CHECK_INTERVAL`] dispatches and once at
-//! finalization, so a violation is caught within a bounded window of
-//! the event that caused it without making debug runs quadratic. In
-//! release builds the ledger degenerates to one `u64` increment per
-//! packet event and no checks.
+//! is checked at the end of every run in every build. Debug builds (which
+//! include every `cargo test` run) also check it every [`CHECK_INTERVAL`]
+//! dispatches, so a violation is caught within a bounded window of the
+//! event that caused it.
 
 /// How many event dispatches pass between conservation checks.
 pub const CHECK_INTERVAL: u64 = 4096;
 
-/// O(1) bookkeeping for the conservation audit.
+/// Schedules the periodic debug-build conservation check.
 #[derive(Debug, Default, Clone)]
 pub struct AuditLedger {
-    /// Packets currently inside scheduled packet-carrying events.
-    in_events: u64,
     /// Dispatches since the last conservation check.
     since_check: u64,
 }
@@ -44,45 +35,17 @@ pub struct LedgerSnapshot {
     pub sent: u64,
     /// Packets handed to a destination host (`packets_delivered`).
     pub delivered: u64,
-    /// All drops: TTL, buffer, displacement, host NIC.
+    /// All drops: TTL, buffer, displacement, host NIC, faults.
     pub dropped: u64,
-    /// Packets waiting in host NIC queues.
-    pub in_nic: u64,
-    /// Packets waiting in CIOQ ingress queues.
-    pub in_ingress: u64,
-    /// Packets resident in switch egress buffers.
-    pub in_buffer: u64,
-    /// Packets riding inside scheduled events (wire + serialization).
-    pub in_events: u64,
+    /// Packets still in the packet store: queued at a NIC, CIOQ ingress,
+    /// or switch buffer, or riding inside a scheduled event.
+    pub in_flight: u64,
 }
 
 impl AuditLedger {
-    /// A fresh ledger with nothing in flight.
+    /// A fresh ledger.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A packet-carrying event was scheduled.
-    #[inline]
-    pub fn packet_event_scheduled(&mut self) {
-        self.in_events += 1;
-    }
-
-    /// A packet-carrying event was dispatched; its packet moved on to a
-    /// queue, a buffer, delivery, or a drop.
-    #[inline]
-    pub fn packet_event_dispatched(&mut self) {
-        debug_assert!(
-            self.in_events > 0,
-            "packet event dispatched but none pending"
-        );
-        self.in_events = self.in_events.saturating_sub(1);
-    }
-
-    /// Packets currently inside scheduled events.
-    #[inline]
-    pub fn in_events(&self) -> u64 {
-        self.in_events
     }
 
     /// Called once per dispatched event; returns `true` when the (debug
@@ -102,20 +65,14 @@ impl AuditLedger {
         }
     }
 
-    /// Assert the conservation law over `snap` (debug builds only).
+    /// Asserts the conservation law over `snap`, in every build.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds when packets have leaked or been double
-    /// counted.
+    /// Panics when packets have leaked or been double counted.
     pub fn check(snap: &LedgerSnapshot) {
-        let accounted = snap.delivered
-            + snap.dropped
-            + snap.in_nic
-            + snap.in_ingress
-            + snap.in_buffer
-            + snap.in_events;
-        debug_assert!(
+        let accounted = snap.delivered + snap.dropped + snap.in_flight;
+        assert!(
             snap.sent == accounted,
             "packet conservation violated: sent={} but accounted={} ({snap:?})",
             snap.sent,
@@ -129,25 +86,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ledger_tracks_events() {
-        let mut l = AuditLedger::new();
-        l.packet_event_scheduled();
-        l.packet_event_scheduled();
-        assert_eq!(l.in_events(), 2);
-        l.packet_event_dispatched();
-        assert_eq!(l.in_events(), 1);
-    }
-
-    #[test]
     fn balanced_snapshot_passes() {
         AuditLedger::check(&LedgerSnapshot {
             sent: 10,
             delivered: 4,
             dropped: 2,
-            in_nic: 1,
-            in_ingress: 0,
-            in_buffer: 2,
-            in_events: 1,
+            in_flight: 4,
         });
     }
 
@@ -158,10 +102,7 @@ mod tests {
             sent: 10,
             delivered: 4,
             dropped: 2,
-            in_nic: 1,
-            in_ingress: 0,
-            in_buffer: 2,
-            in_events: 0,
+            in_flight: 3,
         });
     }
 
@@ -174,6 +115,7 @@ mod tests {
                 fired += 1;
             }
         }
-        assert_eq!(fired, 2);
+        let expected = if cfg!(debug_assertions) { 2 } else { 0 };
+        assert_eq!(fired, expected);
     }
 }

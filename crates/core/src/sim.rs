@@ -1,9 +1,11 @@
 //! The event-driven network simulator.
 //!
 //! All mutable state lives in arenas indexed by the id types of
-//! `dibs-net`; the event loop dispatches a flat [`Event`] enum. Hosts own a
-//! single unbounded NIC queue (congestion happens at switches, as in the
-//! paper's NS-3 setup); switches run the full `dibs-switch` data path.
+//! `dibs-net`; the event loop dispatches a flat [`Event`] enum. Packets in
+//! flight live in one [`PacketStore`]; events and queues carry their
+//! [`PktRef`] handles. Hosts own a single unbounded NIC queue (congestion
+//! happens at switches, as in the paper's NS-3 setup); switches run the
+//! full `dibs-switch` data path.
 
 use crate::audit::{AuditLedger, LedgerSnapshot};
 use crate::config::SimConfig;
@@ -13,7 +15,7 @@ use dibs_engine::time::{SimDuration, SimTime};
 use dibs_engine::Engine;
 use dibs_fault::{FaultAction, FaultError, FaultPlan, FaultSpec};
 use dibs_net::ids::{FlowId, HostId, LinkId, NodeId, PacketId};
-use dibs_net::packet::Packet;
+use dibs_net::packet::{Packet, PacketStore, PktRef};
 use dibs_net::routing::{EcmpMemo, Fib};
 use dibs_net::topology::{SwitchLayer, Topology};
 use dibs_stats::{DetourLog, NetCounters, OccupancySnapshot, Samples};
@@ -28,6 +30,9 @@ use std::collections::{BTreeMap, VecDeque};
 const DETOUR_HIST_BUCKETS: usize = 65;
 /// Cap on retained packet paths when tracing.
 const MAX_TRACED_PATHS: usize = 4096;
+/// Cap on the packet-store pre-size: live packets are bounded by the
+/// buffers and windows in flight, far below a run's total packet count.
+const STORE_RESERVE_CAP: usize = 1 << 14;
 
 /// Simulator events.
 #[derive(Debug)]
@@ -35,12 +40,12 @@ enum Event {
     /// A flow's start time arrived.
     FlowStart(u32),
     /// A packet finished propagating to `node`.
-    Arrive { node: NodeId, pkt: Packet },
+    Arrive { node: NodeId, pkt: PktRef },
     /// `node` finished serializing `pkt` out of `port`.
     TxComplete {
         node: NodeId,
         port: u32,
-        pkt: Packet,
+        pkt: PktRef,
     },
     /// A sender retransmission timer fired.
     RtoFire { flow: u32, gen: u64 },
@@ -53,7 +58,7 @@ enum Event {
     ForwardDone {
         node: NodeId,
         port: u32,
-        pkt: Packet,
+        pkt: PktRef,
     },
     /// A PAUSE (true) or RESUME (false) frame took effect at `node`'s
     /// `port` (Ethernet flow control, §6).
@@ -66,8 +71,12 @@ enum Event {
     Fault(u32),
 }
 
+// Events carry packet handles, not packets: keep an event (and with it a
+// timing-wheel node) small.
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
+
 struct HostNic {
-    queue: VecDeque<Packet>,
+    queue: VecDeque<PktRef>,
     busy: bool,
 }
 
@@ -151,6 +160,8 @@ pub struct Simulation {
     engine: Engine<Event>,
     rng_detour: SimRng,
     ids: IdGen,
+    /// Every packet between its send and its delivery or drop.
+    store: PacketStore,
 
     switches: Vec<SwitchCore>,
     host_nic: Vec<HostNic>,
@@ -193,7 +204,7 @@ pub struct Simulation {
     /// that ingress port (PFC accounting).
     ingress_count: Vec<Vec<u32>>,
     /// CIOQ only: per-switch per-input-port ingress queues.
-    ingress_q: Vec<Vec<VecDeque<Packet>>>,
+    ingress_q: Vec<Vec<VecDeque<PktRef>>>,
     /// CIOQ only: whether each input port's forwarding engine is busy.
     ingress_busy: Vec<Vec<bool>>,
     /// `pause_asserted[switch][port]` — this switch has paused the link
@@ -201,7 +212,7 @@ pub struct Simulation {
     pause_asserted: Vec<Vec<bool>>,
     /// Total PAUSE assertions (diagnostics).
     pause_events: u64,
-    /// Debug-build packet-conservation auditor.
+    /// Schedules the periodic debug-build conservation check.
     audit: AuditLedger,
     /// Installed fault schedule, if any (see [`Simulation::set_faults`]).
     faults: Option<FaultState>,
@@ -282,6 +293,7 @@ impl Simulation {
             engine,
             rng_detour,
             ids: IdGen::new(),
+            store: PacketStore::new(),
             switches,
             host_nic,
             tx_busy,
@@ -445,16 +457,21 @@ impl Simulation {
         self.engine.schedule_at(spec.start, Event::FlowStart(fi));
     }
 
-    /// Rough event count the scheduled traffic will generate, used to
-    /// pre-size the event queue before the run starts.
+    /// Data packets the scheduled traffic needs at least (one per MSS of
+    /// every flow), used to pre-size the event queue and packet store
+    /// before the run starts.
+    fn estimated_packet_count(&self) -> u64 {
+        let mss = u64::from(self.config.tcp.mss).max(1);
+        self.flows.iter().map(|f| f.spec.size.div_ceil(mss)).sum()
+    }
+
+    /// Rough event count the scheduled traffic will generate.
     ///
     /// Each data packet costs a handful of events per hop (arrive, forward,
     /// tx-complete) in each direction counting acks; flows add start/RTO
     /// bookkeeping. Only an allocation hint, so precision is irrelevant —
     /// the aim is the right order of magnitude.
-    fn estimated_event_count(&self) -> usize {
-        let mss = u64::from(self.config.tcp.mss).max(1);
-        let packets: u64 = self.flows.iter().map(|f| f.spec.size.div_ceil(mss)).sum();
+    fn estimated_event_count(&self, packets: u64) -> usize {
         let per_packet_events = 8;
         let per_flow_events = 16;
         usize::try_from(packets * per_packet_events)
@@ -465,8 +482,14 @@ impl Simulation {
     /// Runs to completion (event exhaustion or the configured horizon) and
     /// returns the measurements.
     pub fn run(mut self) -> RunResults {
-        let expected_events = self.estimated_event_count();
+        let packets = self.estimated_packet_count();
+        let expected_events = self.estimated_event_count(packets);
         self.engine.queue_mut().reserve(expected_events);
+        self.store.reserve(
+            usize::try_from(packets)
+                .unwrap_or(usize::MAX)
+                .min(STORE_RESERVE_CAP),
+        );
         if let Some(interval) = self.config.sample_interval {
             self.engine.schedule_in(interval, Event::Sample);
         }
@@ -494,35 +517,47 @@ impl Simulation {
         self.finalize()
     }
 
-    /// Debug-build audit: every injected packet is delivered, dropped,
-    /// queued somewhere, or riding inside a scheduled event.
+    /// Packet conservation: every injected packet is delivered, dropped,
+    /// or still in the packet store.
     fn conservation_check(&self) {
         AuditLedger::check(&LedgerSnapshot {
             sent: self.counters.packets_sent,
             delivered: self.counters.packets_delivered,
             dropped: self.counters.total_drops(),
-            in_nic: self.host_nic.iter().map(|n| n.queue.len() as u64).sum(),
-            in_ingress: self
-                .ingress_q
-                .iter()
-                .flat_map(|qs| qs.iter().map(|q| q.len() as u64))
-                .sum(),
-            in_buffer: self
-                .switches
-                .iter()
-                .map(|s| s.total_buffered() as u64)
-                .sum(),
-            in_events: self.audit.in_events(),
+            in_flight: self.store.live(),
         });
     }
 
-    fn dispatch(&mut self, ev: Event) {
-        if matches!(
-            ev,
-            Event::Arrive { .. } | Event::TxComplete { .. } | Event::ForwardDone { .. }
-        ) {
-            self.audit.packet_event_dispatched();
+    /// Debug-build leak check at the end of a run: every live handle sits
+    /// in exactly one place a packet can wait — a NIC or CIOQ ingress
+    /// queue, a switch buffer, or an event the horizon cut off — so a
+    /// handle some drop path forgot to release, or one queued twice, shows
+    /// up here. Drains the engine, so it runs after the results are read.
+    fn debug_check_handles(&mut self) {
+        let mut in_events = 0u64;
+        while let Some((_, ev)) = self.engine.queue_mut().pop() {
+            if let Event::Arrive { .. } | Event::TxComplete { .. } | Event::ForwardDone { .. } = ev
+            {
+                in_events += 1;
+            }
         }
+        let in_nic: usize = self.host_nic.iter().map(|n| n.queue.len()).sum();
+        let in_ingress: usize = self
+            .ingress_q
+            .iter()
+            .flat_map(|qs| qs.iter().map(VecDeque::len))
+            .sum();
+        let in_buffer: usize = self.switches.iter().map(SwitchCore::total_buffered).sum();
+        let resident = u64::try_from(in_nic + in_ingress + in_buffer).unwrap_or(u64::MAX);
+        assert_eq!(
+            self.store.live(),
+            resident + in_events,
+            "live packet handles != nic {in_nic} + ingress {in_ingress} + buffer \
+             {in_buffer} + events {in_events}"
+        );
+    }
+
+    fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::FlowStart(fi) => self.on_flow_start(fi as usize),
             Event::Arrive { node, pkt } => self.on_arrive(node, pkt),
@@ -539,8 +574,7 @@ impl Simulation {
                     // The switch crashed while this packet was in its
                     // forwarding pipeline; it dies with the switch.
                     self.counters.drops_fault += 1;
-                    self.traces.remove(&pkt.id.0);
-                    self.trace_pkt(TraceKind::Drop, node.0, &pkt);
+                    self.discard(pkt, node, TraceKind::Drop);
                     self.ingress_busy[si][port as usize] = false;
                     return;
                 }
@@ -588,10 +622,11 @@ impl Simulation {
     /// One seeded Bernoulli trial per matching drop profile, evaluated in
     /// spec order with short-circuit on the first hit. `p = 0` profiles
     /// consume no randomness, so `drop:p=0` is digest-neutral.
-    fn fault_should_drop(&mut self, pkt: &Packet) -> bool {
+    fn fault_should_drop(&mut self, r: PktRef) -> bool {
         let Some(FaultState { plan, rng, .. }) = self.faults.as_mut() else {
             return false;
         };
+        let pkt = self.store.get(r);
         plan.drops
             .iter()
             .any(|prof| prof.kind.applies(pkt.detours > 0, pkt.is_data()) && rng.chance(prof.p))
@@ -599,10 +634,11 @@ impl Simulation {
 
     /// Same trial for corrupt profiles (applied at dequeue: the frame is
     /// damaged on the wire and discarded by the receiver's CRC check).
-    fn fault_should_corrupt(&mut self, pkt: &Packet) -> bool {
+    fn fault_should_corrupt(&mut self, r: PktRef) -> bool {
         let Some(FaultState { plan, rng, .. }) = self.faults.as_mut() else {
             return false;
         };
+        let pkt = self.store.get(r);
         plan.corrupts
             .iter()
             .any(|prof| prof.kind.applies(pkt.detours > 0, pkt.is_data()) && rng.chance(prof.p))
@@ -699,22 +735,20 @@ impl Simulation {
             f.crashed[si] = true;
         }
         let drained = self.switches[si].drain_all();
-        for pkt in drained {
+        for r in drained {
             self.counters.drops_fault += 1;
-            self.traces.remove(&pkt.id.0);
-            self.trace_pkt(TraceKind::Drop, node.0, &pkt);
+            let pkt = self.discard(r, node, TraceKind::Drop);
             self.pfc_on_dequeued(si, usize::from(pkt.last_ingress));
         }
         // CIOQ ingress queues die too; those packets were never counted
         // into PFC buffering, so no XON bookkeeping here.
-        let ingress: Vec<Packet> = self.ingress_q[si]
+        let ingress: Vec<PktRef> = self.ingress_q[si]
             .iter_mut()
             .flat_map(std::mem::take)
             .collect();
-        for pkt in ingress {
+        for r in ingress {
             self.counters.drops_fault += 1;
-            self.traces.remove(&pkt.id.0);
-            self.trace_pkt(TraceKind::Drop, node.0, &pkt);
+            self.discard(r, node, TraceKind::Drop);
         }
         self.refresh_routes();
     }
@@ -785,16 +819,18 @@ impl Simulation {
                 },
             );
         }
-        let nic = &mut self.host_nic[host.index()];
-        if nic.queue.len() >= self.config.host_nic_cap {
-            // Qdisc-style local drop; the transport retransmits later.
+        if self.host_nic[host.index()].queue.len() >= self.config.host_nic_cap {
+            // Qdisc-style local drop, before the packet ever enters the
+            // store; the transport retransmits later.
             self.counters.drops_host_nic += 1;
             self.traces.remove(&pkt.id.0);
             let node = self.topo.host_node(host).0;
             self.trace_pkt(TraceKind::Drop, node, &pkt);
             return;
         }
-        nic.queue.push_back(pkt);
+        let r = self.store.insert(pkt);
+        let nic = &mut self.host_nic[host.index()];
+        nic.queue.push_back(r);
         if !nic.busy {
             self.start_host_tx(host);
         }
@@ -814,8 +850,8 @@ impl Simulation {
         };
         self.host_nic[host.index()].busy = true;
         let up = self.topo.host_uplink(host);
-        let ser = SimDuration::serialization(u64::from(pkt.wire_bytes), up.rate_bps);
-        self.audit.packet_event_scheduled();
+        let wire_bytes = self.store.get(pkt).wire_bytes;
+        let ser = SimDuration::serialization(u64::from(wire_bytes), up.rate_bps);
         self.engine
             .schedule_in(ser, Event::TxComplete { node, port: 0, pkt });
     }
@@ -835,6 +871,15 @@ impl Simulation {
                 kind,
             });
         }
+    }
+
+    /// Takes a packet that leaves the fabric undelivered out of the store,
+    /// forgets its path trace, and records `kind` at `node`.
+    fn discard(&mut self, r: PktRef, node: NodeId, kind: TraceKind) -> Packet {
+        let pkt = self.store.release(r);
+        self.traces.remove(&pkt.id.0);
+        self.trace_pkt(kind, node.0, &pkt);
+        pkt
     }
 
     fn deliver(&mut self, host: HostId, pkt: Packet) {
@@ -925,28 +970,29 @@ impl Simulation {
     // Wire and switch side.
     // ------------------------------------------------------------------
 
-    fn on_arrive(&mut self, node: NodeId, pkt: Packet) {
+    fn on_arrive(&mut self, node: NodeId, r: PktRef) {
         if let Some(host) = self.topo.as_host(node) {
-            self.record_trace_hop(&pkt, node);
+            // Delivery: the packet leaves the store here.
+            let pkt = self.store.release(r);
+            self.record_trace_hop(pkt.id.0, node);
             self.deliver(host, pkt);
         } else {
-            self.on_switch_arrive(node, pkt);
+            self.on_switch_arrive(node, r);
         }
     }
 
-    fn on_switch_arrive(&mut self, node: NodeId, mut pkt: Packet) {
+    fn on_switch_arrive(&mut self, node: NodeId, r: PktRef) {
         let si = self.topo.as_switch(node).expect("switch node").index();
         if self.fault_crashed_switch(si) {
             // A crashed switch blackholes everything that reaches it.
             self.counters.drops_fault += 1;
-            self.traces.remove(&pkt.id.0);
-            self.trace_pkt(TraceKind::Drop, node.0, &pkt);
+            self.discard(r, node, TraceKind::Drop);
             return;
         }
+        let pkt = self.store.get_mut(r);
         if !pkt.decrement_ttl() {
             self.counters.drops_ttl += 1;
-            self.traces.remove(&pkt.id.0);
-            self.trace_pkt(TraceKind::TtlExpire, node.0, &pkt);
+            self.discard(r, node, TraceKind::TtlExpire);
             return;
         }
         pkt.hops += 1;
@@ -965,7 +1011,8 @@ impl Simulation {
             pkt.detours,
             pkt.hops
         );
-        self.record_trace_hop(&pkt, node);
+        let (id, ingress) = (pkt.id.0, usize::from(pkt.last_ingress));
+        self.record_trace_hop(id, node);
 
         if let crate::config::SwitchArch::Cioq {
             ingress_packets, ..
@@ -973,18 +1020,16 @@ impl Simulation {
         {
             // CIOQ: queue at the ingress; the forwarding engine moves
             // packets to egress at speedup x line rate.
-            let ingress = usize::from(pkt.last_ingress);
             if self.ingress_q[si][ingress].len() >= ingress_packets {
                 self.counters.drops_buffer += 1;
-                self.traces.remove(&pkt.id.0);
-                self.trace_pkt(TraceKind::Drop, node.0, &pkt);
+                self.discard(r, node, TraceKind::Drop);
                 return;
             }
-            self.ingress_q[si][ingress].push_back(pkt);
+            self.ingress_q[si][ingress].push_back(r);
             self.start_forwarding(node, si, ingress);
             return;
         }
-        self.route_and_enqueue(node, si, pkt);
+        self.route_and_enqueue(node, si, r);
     }
 
     /// CIOQ: start the ingress port's forwarding engine if idle.
@@ -1003,8 +1048,8 @@ impl Simulation {
         // below u64::MAX for any physical link.
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let rate = (self.topo.port(node, ingress).rate_bps as f64 * speedup) as u64;
-        let service = SimDuration::serialization(u64::from(pkt.wire_bytes), rate.max(1));
-        self.audit.packet_event_scheduled();
+        let wire_bytes = self.store.get(pkt).wire_bytes;
+        let service = SimDuration::serialization(u64::from(wire_bytes), rate.max(1));
         self.engine.schedule_in(
             service,
             Event::ForwardDone {
@@ -1017,54 +1062,53 @@ impl Simulation {
 
     /// FIB lookup + egress admission (the §2 data path), common to both
     /// switch architectures.
-    fn route_and_enqueue(&mut self, node: NodeId, si: usize, pkt: Packet) {
-        if self.fault_should_drop(&pkt) {
+    fn route_and_enqueue(&mut self, node: NodeId, si: usize, r: PktRef) {
+        if self.fault_should_drop(r) {
             self.counters.drops_fault += 1;
-            self.traces.remove(&pkt.id.0);
-            self.trace_pkt(TraceKind::Drop, node.0, &pkt);
+            self.discard(r, node, TraceKind::Drop);
             return;
         }
+        let pkt = self.store.get(r);
+        let (pid, dst, ingress) = (pkt.id.0, pkt.dst, usize::from(pkt.last_ingress));
         let desired = match self.config.ecmp {
             // Flow-level selection is pure per (flow, node, dst), so it is
             // served through the memo: one hash per flow per node instead
             // of one per packet.
             crate::config::EcmpMode::FlowLevel => {
                 self.fib
-                    .select_port_memo(&mut self.ecmp_memo, node, pkt.dst, pkt.flow)
+                    .select_port_memo(&mut self.ecmp_memo, node, dst, pkt.flow)
             }
             // Packet-level spraying keys on per-packet entropy and cannot
             // be memoized.
-            crate::config::EcmpMode::PacketLevel => {
-                self.fib.select_port_per_packet(node, pkt.dst, pkt.id.0)
-            }
+            crate::config::EcmpMode::PacketLevel => self.fib.select_port_per_packet(node, dst, pid),
         };
         let Some(desired) = desired else {
             if self.faults.is_some() {
                 // Injected faults partitioned the fabric; the packet
                 // blackholes at the switch that has no route left.
                 self.counters.drops_fault += 1;
-                self.traces.remove(&pkt.id.0);
-                self.trace_pkt(TraceKind::Drop, node.0, &pkt);
+                self.discard(r, node, TraceKind::Drop);
                 return;
             }
             // Unreachable destination: only possible on malformed topologies.
-            debug_assert!(false, "no route from {node} to {}", pkt.dst);
+            debug_assert!(false, "no route from {node} to {dst}");
             self.counters.drops_buffer += 1;
+            self.store.release(r);
             return;
         };
 
-        let pid = pkt.id.0;
-        let ingress = usize::from(pkt.last_ingress);
         let now_ns = self.engine.now().as_nanos();
-        let result = self.switches[si].enqueue_traced(
-            pkt,
+        let result = self.switches[si].enqueue(
+            &mut self.store,
+            r,
             desired,
             &mut self.rng_detour,
             now_ns,
             &mut self.tracer,
         );
-        if let Some(displaced) = result.displaced {
+        if let Some(d) = result.displaced {
             self.counters.drops_displaced += 1;
+            let displaced = self.store.release(d);
             self.traces.remove(&displaced.id.0);
             self.pfc_on_dequeued(si, usize::from(displaced.last_ingress));
         }
@@ -1089,7 +1133,9 @@ impl Simulation {
                 self.kick_switch_port(node, si, port);
             }
             EnqueueOutcome::Dropped(_) => {
+                // The switch already traced the drop.
                 self.counters.drops_buffer += 1;
+                self.store.release(r);
                 self.traces.remove(&pid);
             }
         }
@@ -1104,23 +1150,26 @@ impl Simulation {
         }
         let now_ns = self.engine.now().as_nanos();
         loop {
-            let Some(pkt) = self.switches[si].dequeue_traced(port, now_ns, &mut self.tracer) else {
+            let Some(pkt) = self.switches[si].dequeue(&self.store, port, now_ns, &mut self.tracer)
+            else {
                 return;
             };
-            if self.fault_should_corrupt(&pkt) {
+            let (ingress, wire_bytes) = {
+                let p = self.store.get(pkt);
+                (usize::from(p.last_ingress), p.wire_bytes)
+            };
+            if self.fault_should_corrupt(pkt) {
                 // The frame is corrupted on the wire; free its PFC slot
                 // and try the next packet in the queue.
-                self.pfc_on_dequeued(si, usize::from(pkt.last_ingress));
+                self.pfc_on_dequeued(si, ingress);
                 self.counters.drops_fault += 1;
-                self.traces.remove(&pkt.id.0);
-                self.trace_pkt(TraceKind::Drop, node.0, &pkt);
+                self.discard(pkt, node, TraceKind::Drop);
                 continue;
             }
             self.tx_busy[node.index()][port] = true;
-            self.pfc_on_dequeued(si, usize::from(pkt.last_ingress));
+            self.pfc_on_dequeued(si, ingress);
             let rate = self.topo.port(node, port).rate_bps;
-            let ser = SimDuration::serialization(u64::from(pkt.wire_bytes), rate);
-            self.audit.packet_event_scheduled();
+            let ser = SimDuration::serialization(u64::from(wire_bytes), rate);
             self.engine.schedule_in(
                 ser,
                 Event::TxComplete {
@@ -1172,7 +1221,7 @@ impl Simulation {
         );
     }
 
-    fn on_tx_complete(&mut self, node: NodeId, port: usize, mut pkt: Packet) {
+    fn on_tx_complete(&mut self, node: NodeId, port: usize, pkt: PktRef) {
         if self.fault_link_down(node, port)
             || self
                 .topo
@@ -1183,8 +1232,7 @@ impl Simulation {
             // was serializing: the frame is cut on the wire. Release the
             // port without restarting — recovery re-kicks it.
             self.counters.drops_fault += 1;
-            self.traces.remove(&pkt.id.0);
-            self.trace_pkt(TraceKind::Drop, node.0, &pkt);
+            self.discard(pkt, node, TraceKind::Drop);
             match self.topo.as_host(node) {
                 // start_host_tx parks again while the uplink stays down.
                 Some(host) => self.start_host_tx(host),
@@ -1196,9 +1244,9 @@ impl Simulation {
         let peer = p.peer;
         let delay = p.delay;
         // Stamp the ingress port the packet will arrive on (PFC accounting).
-        pkt.last_ingress = u16::try_from(p.peer_port).expect("port index fits u16");
-        self.port_tx_bytes[self.port_offsets[node.index()] + port] += u64::from(pkt.wire_bytes);
-        self.audit.packet_event_scheduled();
+        let p_mut = self.store.get_mut(pkt);
+        p_mut.last_ingress = u16::try_from(p.peer_port).expect("port index fits u16");
+        self.port_tx_bytes[self.port_offsets[node.index()] + port] += u64::from(p_mut.wire_bytes);
         self.engine
             .schedule_in(delay, Event::Arrive { node: peer, pkt });
 
@@ -1219,11 +1267,11 @@ impl Simulation {
     // Tracing (Fig 1).
     // ------------------------------------------------------------------
 
-    fn record_trace_hop(&mut self, pkt: &Packet, node: NodeId) {
+    fn record_trace_hop(&mut self, id: u64, node: NodeId) {
         if !self.config.trace_paths {
             return;
         }
-        if let Entry::Occupied(mut e) = self.traces.entry(pkt.id.0) {
+        if let Entry::Occupied(mut e) = self.traces.entry(id) {
             let t = e.get_mut();
             let was_detour = std::mem::take(&mut t.pending_detour);
             t.nodes.push(node);
@@ -1332,30 +1380,16 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn finalize(mut self) -> RunResults {
-        // Final conservation audit: at the horizon every injected packet
-        // is delivered, dropped, or still parked in a queue/event.
+        // Final conservation audit, in every build: at the horizon every
+        // injected packet is delivered, dropped, or still in the store.
         self.conservation_check();
         let finished_at = self.engine.now();
         let queue_hwm = u64::try_from(self.engine.high_watermark()).unwrap_or(u64::MAX);
-        // The same transient buckets the audit snapshots: everything sent
-        // but neither delivered nor dropped is parked in exactly one of
-        // them when the horizon cuts the run.
-        let packets_in_flight = self
-            .host_nic
-            .iter()
-            .map(|n| n.queue.len() as u64)
-            .sum::<u64>()
-            + self
-                .ingress_q
-                .iter()
-                .flat_map(|qs| qs.iter().map(|q| q.len() as u64))
-                .sum::<u64>()
-            + self
-                .switches
-                .iter()
-                .map(|s| s.total_buffered() as u64)
-                .sum::<u64>()
-            + self.audit.in_events();
+        let events_dispatched = self.engine.dispatched();
+        let packets_in_flight = self.store.live();
+        if cfg!(debug_assertions) {
+            self.debug_check_handles();
+        }
 
         // Fold in switch and sender counters.
         for sw in &self.switches {
@@ -1426,7 +1460,7 @@ impl Simulation {
             paths: self.finished_paths,
             pfc_pause_events: self.pause_events,
             packets_in_flight,
-            events_dispatched: self.engine.dispatched(),
+            events_dispatched,
             finished_at,
             trace: self.tracer.into_report(queue_hwm),
         }

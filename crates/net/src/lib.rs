@@ -14,6 +14,6 @@ pub mod routing;
 pub mod topology;
 
 pub use ids::{FlowId, HostId, LinkId, NodeId, PacketId, PortRef, SwitchId};
-pub use packet::{Packet, PacketKind};
+pub use packet::{Packet, PacketKind, PacketStore, PktRef};
 pub use routing::Fib;
 pub use topology::{LinkSpec, Topology, TopologyBuilder};

@@ -1,8 +1,9 @@
 //! Packet representation.
 //!
 //! Packets are metadata-only: the simulator never materializes payload
-//! bytes. A packet is `Clone + Copy`-cheap (a few dozen bytes) and is moved
-//! by value through queues and events.
+//! bytes. Transports build a [`Packet`] by value; once a host sends it, the
+//! simulator parks it in a [`PacketStore`] and queues and events carry only
+//! its 4-byte [`PktRef`] handle until it is delivered or dropped.
 
 use crate::ids::{FlowId, HostId, PacketId};
 use dibs_engine::time::SimTime;
@@ -183,6 +184,128 @@ impl Packet {
     }
 }
 
+/// Handle to a packet resident in a [`PacketStore`].
+///
+/// Valid from [`PacketStore::insert`] until the matching
+/// [`PacketStore::release`]; the slot is recycled afterwards, so a handle
+/// must not outlive its release.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PktRef(u32);
+
+impl PktRef {
+    /// The slot index this handle names.
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Slab of in-flight packets with a LIFO free list.
+///
+/// A packet enters once, when a host sends it, and leaves once, when it
+/// is delivered or dropped; in between it never moves, and switches mark
+/// it in place through [`PacketStore::get_mut`]. [`PacketStore::live`] is
+/// therefore exactly the number of packets in flight. Released slots are
+/// reused most-recent-first, so a release-then-insert cycle (delivery
+/// triggering an ack) touches a slot that is still in cache.
+#[derive(Debug, Default)]
+pub struct PacketStore {
+    slots: Vec<Packet>,
+    /// Released slot indices; the top is reused first.
+    free: Vec<u32>,
+    /// `live_bits[i]` — slot `i` holds a packet; debug builds check every
+    /// access and panic on a double release.
+    #[cfg(debug_assertions)]
+    live_bits: Vec<bool>,
+}
+
+impl PacketStore {
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Pre-sizes the slab for `expected` concurrently live packets, so the
+    /// data path never grows it.
+    pub fn reserve(&mut self, expected: usize) {
+        let spare = self.slots.capacity() - self.slots.len();
+        if spare < expected {
+            self.slots.reserve(expected - spare);
+            #[cfg(debug_assertions)]
+            self.live_bits.reserve(expected - spare);
+        }
+    }
+
+    /// Parks `pkt` and returns its handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `u32::MAX` packets are live at once.
+    pub fn insert(&mut self, pkt: Packet) -> PktRef {
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slots[idx as usize] = pkt;
+                idx
+            }
+            None => {
+                let Ok(idx) = u32::try_from(self.slots.len()) else {
+                    unreachable!("more than u32::MAX live packets")
+                };
+                self.slots.push(pkt);
+                #[cfg(debug_assertions)]
+                self.live_bits.push(false);
+                idx
+            }
+        };
+        #[cfg(debug_assertions)]
+        {
+            self.live_bits[idx as usize] = true;
+        }
+        PktRef(idx)
+    }
+
+    /// Removes the packet behind `r`, returning it; `r` is dead afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic when `r` was already released.
+    pub fn release(&mut self, r: PktRef) -> Packet {
+        #[cfg(debug_assertions)]
+        {
+            let bit = &mut self.live_bits[r.index()];
+            assert!(*bit, "packet slot {} released twice", r.0);
+            *bit = false;
+        }
+        self.free.push(r.0);
+        self.slots[r.index()].clone()
+    }
+
+    /// The packet behind `r`.
+    #[inline]
+    pub fn get(&self, r: PktRef) -> &Packet {
+        self.debug_check_live(r);
+        &self.slots[r.index()]
+    }
+
+    /// The packet behind `r`, for in-place updates (TTL, marks, counters).
+    #[inline]
+    pub fn get_mut(&mut self, r: PktRef) -> &mut Packet {
+        self.debug_check_live(r);
+        &mut self.slots[r.index()]
+    }
+
+    /// Packets currently parked: inserted and not yet released.
+    pub fn live(&self) -> u64 {
+        (self.slots.len() - self.free.len()) as u64
+    }
+
+    #[inline]
+    fn debug_check_live(&self, r: PktRef) {
+        #[cfg(debug_assertions)]
+        assert!(self.live_bits[r.index()], "packet slot {} is not live", r.0);
+        let _ = r;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,6 +372,59 @@ mod tests {
         assert_eq!(p.ttl, 0);
         // Repeated calls stay "drop".
         assert!(!p.decrement_ttl());
+    }
+
+    #[test]
+    fn store_reuses_slots_lifo() {
+        let mut store = PacketStore::new();
+        let a = store.insert(sample_data());
+        let b = store.insert(sample_data());
+        let c = store.insert(sample_data());
+        assert_eq!((a.index(), b.index(), c.index()), (0, 1, 2));
+        store.release(a);
+        store.release(c);
+        // Most recently released first, then the older hole, then growth.
+        assert_eq!(store.insert(sample_data()), c);
+        assert_eq!(store.insert(sample_data()), a);
+        assert_eq!(store.insert(sample_data()).index(), 3);
+    }
+
+    #[test]
+    fn store_live_counts_inserts_minus_releases() {
+        let mut store = PacketStore::new();
+        store.reserve(8);
+        assert_eq!(store.live(), 0);
+        let refs: Vec<PktRef> = (0..5).map(|_| store.insert(sample_data())).collect();
+        assert_eq!(store.live(), 5);
+        for &r in &refs[..3] {
+            store.release(r);
+        }
+        assert_eq!(store.live(), 2);
+        store.insert(sample_data());
+        assert_eq!(store.live(), 3);
+    }
+
+    #[test]
+    fn store_updates_in_place_and_release_returns_the_packet() {
+        let mut store = PacketStore::new();
+        let r = store.insert(sample_data());
+        store.get_mut(r).mark_ce();
+        store.get_mut(r).detours += 2;
+        assert!(store.get(r).ce);
+        let p = store.release(r);
+        assert!(p.ce);
+        assert_eq!(p.detours, 2);
+        assert_eq!(p.id, PacketId(1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "released twice")]
+    fn store_double_release_panics_in_debug() {
+        let mut store = PacketStore::new();
+        let r = store.insert(sample_data());
+        store.release(r);
+        store.release(r);
     }
 
     #[test]

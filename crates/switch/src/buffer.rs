@@ -147,13 +147,14 @@ impl BufferManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::Discipline;
+    use crate::queue::{Discipline, QueueEntry};
     use dibs_engine::time::SimTime;
     use dibs_net::ids::{FlowId, HostId, PacketId};
-    use dibs_net::packet::Packet;
+    use dibs_net::packet::{Packet, PacketStore};
 
-    fn pkt() -> Packet {
-        Packet::data(
+    /// Parks a 1500-byte packet and returns its queue entry.
+    fn pkt(store: &mut PacketStore) -> QueueEntry {
+        let p = Packet::data(
             PacketId(0),
             FlowId(0),
             HostId(0),
@@ -162,27 +163,30 @@ mod tests {
             1460,
             64,
             SimTime::ZERO,
-        )
+        );
+        QueueEntry::of(store.insert(p.clone()), &p)
     }
 
     #[test]
     fn static_limit_counts_packets() {
+        let mut store = PacketStore::new();
         let mgr = BufferManager::new(BufferConfig::StaticPerPort { packets: 2 });
         let mut q = PortQueue::new(Discipline::Fifo);
         assert!(mgr.admits(&q, 1500));
-        q.push(pkt());
+        q.push(pkt(&mut store));
         assert!(mgr.admits(&q, 1500));
-        q.push(pkt());
+        q.push(pkt(&mut store));
         assert!(!mgr.admits(&q, 1500));
         assert!((mgr.occupancy(&q) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn infinite_always_admits() {
+        let mut store = PacketStore::new();
         let mgr = BufferManager::new(BufferConfig::Infinite);
         let mut q = PortQueue::new(Discipline::Fifo);
         for _ in 0..10_000 {
-            q.push(pkt());
+            q.push(pkt(&mut store));
         }
         assert!(mgr.admits(&q, 1500));
         assert_eq!(mgr.occupancy(&q), 0.0);
@@ -190,6 +194,7 @@ mod tests {
 
     #[test]
     fn dynamic_threshold_shrinks_as_pool_fills() {
+        let mut store = PacketStore::new();
         let mut mgr = BufferManager::new(BufferConfig::DynamicShared {
             total_bytes: 15_000, // Room for 10 x 1500B.
             alpha: 1.0,
@@ -199,7 +204,7 @@ mod tests {
         // Fill the hot port until the dynamic threshold rejects it.
         let mut admitted = 0;
         while mgr.admits(&hot, 1500) {
-            hot.push(pkt());
+            hot.push(pkt(&mut store));
             mgr.on_enqueue(1500);
             admitted += 1;
             assert!(admitted <= 10, "admitted past total memory");
@@ -214,6 +219,7 @@ mod tests {
 
     #[test]
     fn reserve_guarantees_minimum() {
+        let mut store = PacketStore::new();
         let mut mgr = BufferManager::new(BufferConfig::DynamicShared {
             total_bytes: 10 * 1500,
             alpha: 0.0001, // Threshold effectively zero.
@@ -221,10 +227,10 @@ mod tests {
         });
         let mut q = PortQueue::new(Discipline::Fifo);
         assert!(mgr.admits(&q, 1500));
-        q.push(pkt());
+        q.push(pkt(&mut store));
         mgr.on_enqueue(1500);
         assert!(mgr.admits(&q, 1500));
-        q.push(pkt());
+        q.push(pkt(&mut store));
         mgr.on_enqueue(1500);
         // Beyond the reserve the tiny alpha rejects.
         assert!(!mgr.admits(&q, 1500));
@@ -232,6 +238,7 @@ mod tests {
 
     #[test]
     fn never_admits_past_total() {
+        let mut store = PacketStore::new();
         let mut mgr = BufferManager::new(BufferConfig::DynamicShared {
             total_bytes: 3 * 1500,
             alpha: 100.0, // Huge alpha: only the hard cap binds.
@@ -240,7 +247,7 @@ mod tests {
         let mut q = PortQueue::new(Discipline::Fifo);
         let mut admitted = 0;
         while mgr.admits(&q, 1500) {
-            q.push(pkt());
+            q.push(pkt(&mut store));
             mgr.on_enqueue(1500);
             admitted += 1;
             assert!(admitted <= 3);

@@ -5,7 +5,7 @@
 //! hosts do not forward packets not addressed to them — and (b) have buffer
 //! room. §7 sketches three refinements (load-aware, flow-based, and
 //! probabilistic detouring), all implemented here so they can be compared in
-//! the `policy_comparison` example and the ablation benches.
+//! the `policy_comparison` example and the ablation binaries.
 
 use dibs_engine::rng::SimRng;
 use dibs_net::packet::Packet;

@@ -7,12 +7,12 @@
 
 use crate::buffer::{BufferConfig, BufferManager};
 use crate::dibs::{detour_flow_hash, DibsPolicy};
-use crate::queue::{Discipline, PortQueue};
+use crate::queue::{Discipline, PortQueue, QueueEntry};
 use dibs_engine::rng::SimRng;
-use dibs_net::packet::Packet;
+use dibs_net::packet::{Packet, PacketStore, PktRef};
 use dibs_net::routing::EcmpMemo;
 use dibs_net::{HostId, NodeId};
-use dibs_trace::{NullSink, TraceEvent, TraceKind, TraceSink};
+use dibs_trace::{TraceEvent, TraceKind, TraceSink};
 
 /// Static configuration of one switch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,7 +97,8 @@ pub struct EnqueueResult {
     /// What happened to the offered packet.
     pub outcome: EnqueueOutcome,
     /// A resident packet evicted by pFabric priority displacement, if any.
-    pub displaced: Option<Packet>,
+    /// It has left the switch; the caller releases its handle.
+    pub displaced: Option<PktRef>,
 }
 
 /// Event counters, cheap enough to keep always-on.
@@ -247,23 +248,22 @@ impl SwitchCore {
         self.counters
     }
 
-    /// Offers `pkt` to the switch for transmission out of `desired_port`.
+    /// Offers the packet behind `pkt` to the switch for transmission out
+    /// of `desired_port`.
     ///
     /// Implements the full §2/§4 data path: ECN threshold marking, DIBS
-    /// detouring on overflow, pFabric priority displacement. Untraced
-    /// convenience wrapper around [`SwitchCore::enqueue_traced`].
-    pub fn enqueue(&mut self, pkt: Packet, desired_port: usize, rng: &mut SimRng) -> EnqueueResult {
-        self.enqueue_traced(pkt, desired_port, rng, 0, &mut NullSink)
-    }
-
-    /// [`SwitchCore::enqueue`] with trace emission: every queue
-    /// transition (enqueue, detour, ECN mark, drop, displacement) is
-    /// reported through `sink`, stamped with simulated time `t_ns`. The
-    /// sink is consulted via [`TraceSink::wants`] before any event is
-    /// built, so a disabled sink costs one branch per transition.
-    pub fn enqueue_traced<S: TraceSink>(
+    /// detouring on overflow, pFabric priority displacement. The packet is
+    /// updated in place in `store` (detour count, CE mark); the switch never
+    /// releases a handle, so a `Dropped` arrival and a displaced resident
+    /// go back to the caller. Every queue transition (enqueue, detour, ECN
+    /// mark, drop, displacement) is reported through `sink`, stamped with
+    /// simulated time `t_ns`. The sink is consulted via [`TraceSink::wants`]
+    /// before any event is built, so a disabled sink costs one branch per
+    /// transition; untraced callers pass `&mut NullSink`.
+    pub fn enqueue<S: TraceSink>(
         &mut self,
-        pkt: Packet,
+        store: &mut PacketStore,
+        pkt: PktRef,
         desired_port: usize,
         rng: &mut SimRng,
         t_ns: u64,
@@ -272,78 +272,75 @@ impl SwitchCore {
         debug_assert!(desired_port < self.queues.len());
         let fits = self
             .buffer
-            .admits(&self.queues[desired_port], pkt.wire_bytes);
+            .admits(&self.queues[desired_port], store.get(pkt).wire_bytes);
 
         if fits {
-            // Probabilistic DIBS may detour even with room available.
-            let p_early = self
-                .config
-                .dibs
-                .early_detour_probability(self.occupancy(desired_port));
-            if p_early > 0.0 && rng.chance(p_early) {
-                if let Some(port) = self.pick_detour(&pkt, desired_port, rng) {
-                    return self.admit_detour(pkt, port, t_ns, sink);
+            // Probabilistic DIBS may detour even with room available. Every
+            // other policy's early-detour probability is zero, so only this
+            // one pays for the occupancy computation.
+            if let DibsPolicy::Probabilistic { .. } = self.config.dibs {
+                let p_early = self
+                    .config
+                    .dibs
+                    .early_detour_probability(self.occupancy(desired_port));
+                if p_early > 0.0 && rng.chance(p_early) {
+                    if let Some(port) = self.pick_detour(store.get(pkt), desired_port, rng) {
+                        return self.admit(store, pkt, port, true, t_ns, sink);
+                    }
                 }
             }
-            return self.admit(pkt, desired_port, t_ns, sink);
+            return self.admit(store, pkt, desired_port, false, t_ns, sink);
         }
 
         // Desired queue full.
         if self.config.discipline == Discipline::Pfabric {
-            return self.pfabric_displace(pkt, desired_port, t_ns, sink);
+            return self.pfabric_displace(store, pkt, desired_port, t_ns, sink);
         }
-        match self.pick_detour(&pkt, desired_port, rng) {
-            Some(port) => self.admit_detour(pkt, port, t_ns, sink),
-            None => {
-                self.counters.dropped_full += 1;
-                if sink.wants(TraceKind::Drop) {
-                    sink.record(self.queue_event(TraceKind::Drop, t_ns, &pkt, desired_port));
-                }
-                EnqueueResult {
-                    outcome: EnqueueOutcome::Dropped(DropReason::BufferFull),
-                    displaced: None,
-                }
-            }
+        match self.pick_detour(store.get(pkt), desired_port, rng) {
+            Some(port) => self.admit(store, pkt, port, true, t_ns, sink),
+            None => self.reject(
+                store.get(pkt),
+                desired_port,
+                DropReason::BufferFull,
+                t_ns,
+                sink,
+            ),
         }
     }
 
-    /// Removes the next packet to transmit from `port`. Untraced
-    /// convenience wrapper around [`SwitchCore::dequeue_traced`].
-    pub fn dequeue(&mut self, port: usize) -> Option<Packet> {
-        self.dequeue_traced(port, 0, &mut NullSink)
-    }
-
-    /// [`SwitchCore::dequeue`] with trace emission; the `Dequeue` event
-    /// carries the port's depth after the pop.
-    pub fn dequeue_traced<S: TraceSink>(
+    /// Removes the next packet to transmit from `port` and returns its
+    /// handle. The `Dequeue` trace event carries the port's depth after
+    /// the pop.
+    pub fn dequeue<S: TraceSink>(
         &mut self,
+        store: &PacketStore,
         port: usize,
         t_ns: u64,
         sink: &mut S,
-    ) -> Option<Packet> {
-        let pkt = self.queues[port].pop()?;
-        self.buffer.on_dequeue(pkt.wire_bytes);
+    ) -> Option<PktRef> {
+        let entry = self.queues[port].pop()?;
+        self.buffer.on_dequeue(entry.wire_bytes);
         self.counters.dequeued += 1;
         self.debug_audit_port(port);
         if sink.wants(TraceKind::Dequeue) {
-            sink.record(self.queue_event(TraceKind::Dequeue, t_ns, &pkt, port));
+            sink.record(self.queue_event(TraceKind::Dequeue, t_ns, store.get(entry.pkt), port));
         }
-        Some(pkt)
+        Some(entry.pkt)
     }
 
     /// Empties every port queue, releasing all shared-buffer occupancy,
-    /// and returns the drained packets (port-major, FIFO within a port).
+    /// and returns the drained handles (port-major, FIFO within a port).
     ///
     /// Used by fault injection when this switch crashes: the packets leave
     /// the fabric without ever being transmitted, so `dequeued` is *not*
-    /// incremented — the caller accounts for each returned packet as a
-    /// drop, keeping the audit ledger's conservation sum exact.
-    pub fn drain_all(&mut self) -> Vec<Packet> {
+    /// incremented — the caller drops and releases each returned packet,
+    /// keeping the conservation sum exact.
+    pub fn drain_all(&mut self) -> Vec<PktRef> {
         let mut out = Vec::with_capacity(self.total_buffered());
         for port in 0..self.queues.len() {
-            while let Some(pkt) = self.queues[port].pop() {
-                self.buffer.on_dequeue(pkt.wire_bytes);
-                out.push(pkt);
+            while let Some(entry) = self.queues[port].pop() {
+                self.buffer.on_dequeue(entry.wire_bytes);
+                out.push(entry.pkt);
             }
             self.debug_audit_port(port);
         }
@@ -392,67 +389,57 @@ impl SwitchCore {
         }
     }
 
+    /// Queues the packet behind `r` on `port`: on its desired port, or as
+    /// a detour (which bumps its detour count and may CE-mark it, §5.3).
     fn admit<S: TraceSink>(
         &mut self,
-        mut pkt: Packet,
+        store: &mut PacketStore,
+        r: PktRef,
         port: usize,
+        detoured: bool,
         t_ns: u64,
         sink: &mut S,
     ) -> EnqueueResult {
-        self.maybe_mark(&mut pkt, port, false, t_ns, sink);
-        self.buffer.on_enqueue(pkt.wire_bytes);
-        let traced = sink.wants(TraceKind::Enqueue);
-        let snapshot = traced.then_some((pkt.id.0, pkt.flow.0, pkt.detours));
-        self.queues[port].push(pkt);
-        self.counters.enqueued += 1;
+        let pkt = store.get_mut(r);
+        if detoured {
+            pkt.detours += 1;
+        }
+        self.maybe_mark(pkt, port, detoured, t_ns, sink);
+        let entry = QueueEntry::of(r, pkt);
+        self.buffer.on_enqueue(entry.wire_bytes);
+        self.queues[port].push(entry);
+        let (kind, outcome) = if detoured {
+            self.counters.detoured += 1;
+            (TraceKind::Detour, EnqueueOutcome::Detoured { port })
+        } else {
+            self.counters.enqueued += 1;
+            (TraceKind::Enqueue, EnqueueOutcome::Enqueued { port })
+        };
         self.debug_audit_port(port);
-        if let Some((packet, flow, detours)) = snapshot {
-            sink.record(TraceEvent {
-                t_ns,
-                packet,
-                flow,
-                node: self.node.0,
-                port: u16::try_from(port).unwrap_or(u16::MAX),
-                qlen: u16::try_from(self.queues[port].len()).unwrap_or(u16::MAX),
-                detours,
-                kind: TraceKind::Enqueue,
-            });
+        if sink.wants(kind) {
+            sink.record(self.queue_event(kind, t_ns, pkt, port));
         }
         EnqueueResult {
-            outcome: EnqueueOutcome::Enqueued { port },
+            outcome,
             displaced: None,
         }
     }
 
-    fn admit_detour<S: TraceSink>(
+    /// Refuses an arrival that found no room on `port`.
+    fn reject<S: TraceSink>(
         &mut self,
-        mut pkt: Packet,
+        pkt: &Packet,
         port: usize,
+        reason: DropReason,
         t_ns: u64,
         sink: &mut S,
     ) -> EnqueueResult {
-        pkt.detours += 1;
-        self.maybe_mark(&mut pkt, port, true, t_ns, sink);
-        self.buffer.on_enqueue(pkt.wire_bytes);
-        let traced = sink.wants(TraceKind::Detour);
-        let snapshot = traced.then_some((pkt.id.0, pkt.flow.0, pkt.detours));
-        self.queues[port].push(pkt);
-        self.counters.detoured += 1;
-        self.debug_audit_port(port);
-        if let Some((packet, flow, detours)) = snapshot {
-            sink.record(TraceEvent {
-                t_ns,
-                packet,
-                flow,
-                node: self.node.0,
-                port: u16::try_from(port).unwrap_or(u16::MAX),
-                qlen: u16::try_from(self.queues[port].len()).unwrap_or(u16::MAX),
-                detours,
-                kind: TraceKind::Detour,
-            });
+        self.counters.dropped_full += 1;
+        if sink.wants(TraceKind::Drop) {
+            sink.record(self.queue_event(TraceKind::Drop, t_ns, pkt, port));
         }
         EnqueueResult {
-            outcome: EnqueueOutcome::Detoured { port },
+            outcome: EnqueueOutcome::Dropped(reason),
             displaced: None,
         }
     }
@@ -527,65 +514,41 @@ impl SwitchCore {
 
     fn pfabric_displace<S: TraceSink>(
         &mut self,
-        pkt: Packet,
+        store: &PacketStore,
+        r: PktRef,
         port: usize,
         t_ns: u64,
         sink: &mut S,
     ) -> EnqueueResult {
         // pFabric (§5.8): on overflow, drop the lowest-priority resident if
         // the arrival beats it; otherwise drop the arrival.
-        let q = &mut self.queues[port];
-        let Some(worst_idx) = q.lowest_priority_index() else {
+        let pkt = store.get(r);
+        let Some((worst_idx, worst_priority)) = self.queues[port].lowest_priority() else {
             // Queue capacity zero: nothing to displace.
-            self.counters.dropped_full += 1;
-            if sink.wants(TraceKind::Drop) {
-                sink.record(self.queue_event(TraceKind::Drop, t_ns, &pkt, port));
-            }
-            return EnqueueResult {
-                outcome: EnqueueOutcome::Dropped(DropReason::BufferFull),
-                displaced: None,
-            };
+            return self.reject(pkt, port, DropReason::BufferFull, t_ns, sink);
         };
-        let worst_priority = q.iter().nth(worst_idx).expect("index valid").priority;
-        if pkt.priority < worst_priority {
-            let displaced = q.remove(worst_idx);
-            self.buffer.on_dequeue(displaced.wire_bytes);
-            self.buffer.on_enqueue(pkt.wire_bytes);
-            let traced = sink.wants(TraceKind::Enqueue);
-            let snapshot = traced.then_some((pkt.id.0, pkt.flow.0, pkt.detours));
-            self.queues[port].push(pkt);
-            self.counters.displaced += 1;
-            self.counters.enqueued += 1;
-            self.debug_audit_port(port);
-            if sink.wants(TraceKind::Drop) {
-                // The displaced resident leaves the fabric here.
-                sink.record(self.queue_event(TraceKind::Drop, t_ns, &displaced, port));
-            }
-            if let Some((packet, flow, detours)) = snapshot {
-                sink.record(TraceEvent {
-                    t_ns,
-                    packet,
-                    flow,
-                    node: self.node.0,
-                    port: u16::try_from(port).unwrap_or(u16::MAX),
-                    qlen: u16::try_from(self.queues[port].len()).unwrap_or(u16::MAX),
-                    detours,
-                    kind: TraceKind::Enqueue,
-                });
-            }
-            EnqueueResult {
-                outcome: EnqueueOutcome::Enqueued { port },
-                displaced: Some(displaced),
-            }
-        } else {
-            self.counters.dropped_full += 1;
-            if sink.wants(TraceKind::Drop) {
-                sink.record(self.queue_event(TraceKind::Drop, t_ns, &pkt, port));
-            }
-            EnqueueResult {
-                outcome: EnqueueOutcome::Dropped(DropReason::PriorityDisplaced),
-                displaced: None,
-            }
+        if pkt.priority >= worst_priority {
+            return self.reject(pkt, port, DropReason::PriorityDisplaced, t_ns, sink);
+        }
+        let displaced = self.queues[port].remove(worst_idx);
+        self.buffer.on_dequeue(displaced.wire_bytes);
+        let entry = QueueEntry::of(r, pkt);
+        self.buffer.on_enqueue(entry.wire_bytes);
+        self.queues[port].push(entry);
+        self.counters.displaced += 1;
+        self.counters.enqueued += 1;
+        self.debug_audit_port(port);
+        if sink.wants(TraceKind::Drop) {
+            // The displaced resident leaves the fabric here.
+            let evicted = store.get(displaced.pkt);
+            sink.record(self.queue_event(TraceKind::Drop, t_ns, evicted, port));
+        }
+        if sink.wants(TraceKind::Enqueue) {
+            sink.record(self.queue_event(TraceKind::Enqueue, t_ns, pkt, port));
+        }
+        EnqueueResult {
+            outcome: EnqueueOutcome::Enqueued { port },
+            displaced: Some(displaced.pkt),
         }
     }
 }
@@ -595,6 +558,7 @@ mod tests {
     use super::*;
     use dibs_engine::time::SimTime;
     use dibs_net::ids::{FlowId, HostId, PacketId};
+    use dibs_trace::NullSink;
 
     fn pkt(id: u64) -> Packet {
         Packet::data(
@@ -607,6 +571,24 @@ mod tests {
             64,
             SimTime::ZERO,
         )
+    }
+
+    /// Parks `p` in `store` and offers it to `sw`, untraced.
+    fn offer(
+        sw: &mut SwitchCore,
+        store: &mut PacketStore,
+        p: Packet,
+        port: usize,
+        rng: &mut SimRng,
+    ) -> EnqueueResult {
+        let r = store.insert(p);
+        sw.enqueue(store, r, port, rng, 0, &mut NullSink)
+    }
+
+    /// Dequeues from `port`, untraced, and takes the packet out of `store`.
+    fn take(sw: &mut SwitchCore, store: &mut PacketStore, port: usize) -> Option<Packet> {
+        let r = sw.dequeue(store, port, 0, &mut NullSink)?;
+        Some(store.release(r))
     }
 
     fn tiny_switch(dibs: DibsPolicy, per_port: usize) -> SwitchCore {
@@ -628,13 +610,14 @@ mod tests {
     fn basic_enqueue_dequeue() {
         let mut sw = tiny_switch(DibsPolicy::Disabled, 10);
         let mut rng = SimRng::new(1);
-        let r = sw.enqueue(pkt(1), 1, &mut rng);
+        let mut store = PacketStore::new();
+        let r = offer(&mut sw, &mut store, pkt(1), 1, &mut rng);
         assert!(matches!(r.outcome, EnqueueOutcome::Enqueued { port: 1 }));
         assert_eq!(sw.queue_len(1), 1);
-        let out = sw.dequeue(1).unwrap();
+        let out = take(&mut sw, &mut store, 1).unwrap();
         assert_eq!(out.id.0, 1);
         assert_eq!(sw.counters().dequeued, 1);
-        assert!(sw.dequeue(1).is_none());
+        assert!(take(&mut sw, &mut store, 1).is_none());
     }
 
     #[test]
@@ -656,8 +639,15 @@ mod tests {
             vec![true, false, false, false],
         );
         let mut rng = SimRng::new(1);
+        let mut store = PacketStore::new();
         for i in 0..6 {
-            sw.enqueue(pkt(i), usize::try_from(i % 3).unwrap(), &mut rng);
+            offer(
+                &mut sw,
+                &mut store,
+                pkt(i),
+                usize::try_from(i % 3).unwrap(),
+                &mut rng,
+            );
         }
         assert_eq!(sw.total_buffered(), 6);
         let drained = sw.drain_all();
@@ -666,10 +656,11 @@ mod tests {
         assert_eq!(sw.buffer.shared_used(), 0, "pool fully released");
         assert_eq!(sw.counters().dequeued, 0, "drain is not transmission");
         // Port-major order, FIFO within each port.
-        let ids: Vec<u64> = drained.iter().map(|p| p.id.0).collect();
+        let ids: Vec<u64> = drained.iter().map(|&r| store.release(r).id.0).collect();
         assert_eq!(ids, vec![0, 3, 1, 4, 2, 5]);
+        assert_eq!(store.live(), 0, "every drained handle was resident");
         // The switch remains usable after a drain.
-        let r = sw.enqueue(pkt(9), 1, &mut rng);
+        let r = offer(&mut sw, &mut store, pkt(9), 1, &mut rng);
         assert!(matches!(r.outcome, EnqueueOutcome::Enqueued { port: 1 }));
     }
 
@@ -677,9 +668,10 @@ mod tests {
     fn droptail_drops_on_overflow_without_dibs() {
         let mut sw = tiny_switch(DibsPolicy::Disabled, 2);
         let mut rng = SimRng::new(1);
-        sw.enqueue(pkt(1), 0, &mut rng);
-        sw.enqueue(pkt(2), 0, &mut rng);
-        let r = sw.enqueue(pkt(3), 0, &mut rng);
+        let mut store = PacketStore::new();
+        offer(&mut sw, &mut store, pkt(1), 0, &mut rng);
+        offer(&mut sw, &mut store, pkt(2), 0, &mut rng);
+        let r = offer(&mut sw, &mut store, pkt(3), 0, &mut rng);
         assert!(matches!(
             r.outcome,
             EnqueueOutcome::Dropped(DropReason::BufferFull)
@@ -691,9 +683,10 @@ mod tests {
     fn dibs_detours_instead_of_dropping() {
         let mut sw = tiny_switch(DibsPolicy::Random, 2);
         let mut rng = SimRng::new(1);
-        sw.enqueue(pkt(1), 0, &mut rng);
-        sw.enqueue(pkt(2), 0, &mut rng);
-        let r = sw.enqueue(pkt(3), 0, &mut rng);
+        let mut store = PacketStore::new();
+        offer(&mut sw, &mut store, pkt(1), 0, &mut rng);
+        offer(&mut sw, &mut store, pkt(2), 0, &mut rng);
+        let r = offer(&mut sw, &mut store, pkt(3), 0, &mut rng);
         match r.outcome {
             EnqueueOutcome::Detoured { port } => {
                 assert!((1..=3).contains(&port), "must detour to a switch port");
@@ -704,7 +697,7 @@ mod tests {
         assert_eq!(sw.counters().dropped_full, 0);
         // The detoured packet carries the detour count and a CE mark.
         let port = (1..=3).find(|&p| sw.queue_len(p) == 1).unwrap();
-        let d = sw.dequeue(port).unwrap();
+        let d = take(&mut sw, &mut store, port).unwrap();
         assert_eq!(d.detours, 1);
         assert!(d.ce, "detoured packets are marked (§5.3)");
     }
@@ -713,12 +706,13 @@ mod tests {
     fn dibs_never_detours_to_host_ports() {
         let mut sw = tiny_switch(DibsPolicy::Random, 1);
         let mut rng = SimRng::new(2);
+        let mut store = PacketStore::new();
         // Fill ports 1-3 (switch-facing) and then overflow port 1: the only
         // port with room is 0, which faces a host, so the packet must drop.
         for p in 1..=3 {
-            sw.enqueue(pkt(p as u64), p, &mut rng);
+            offer(&mut sw, &mut store, pkt(p as u64), p, &mut rng);
         }
-        let r = sw.enqueue(pkt(9), 1, &mut rng);
+        let r = offer(&mut sw, &mut store, pkt(9), 1, &mut rng);
         assert!(matches!(
             r.outcome,
             EnqueueOutcome::Dropped(DropReason::BufferFull)
@@ -730,11 +724,14 @@ mod tests {
     fn ecn_marks_above_threshold() {
         let mut sw = tiny_switch(DibsPolicy::Disabled, 10);
         let mut rng = SimRng::new(1);
+        let mut store = PacketStore::new();
         // Threshold is 2: the first two packets are unmarked, later ones marked.
         for i in 0..5 {
-            sw.enqueue(pkt(i), 1, &mut rng);
+            offer(&mut sw, &mut store, pkt(i), 1, &mut rng);
         }
-        let marks: Vec<bool> = (0..5).map(|_| sw.dequeue(1).unwrap().ce).collect();
+        let marks: Vec<bool> = (0..5)
+            .map(|_| take(&mut sw, &mut store, 1).unwrap().ce)
+            .collect();
         assert_eq!(marks, vec![false, false, true, true, true]);
         assert_eq!(sw.counters().marked, 3);
     }
@@ -743,8 +740,9 @@ mod tests {
     fn acks_are_not_marked() {
         let mut sw = tiny_switch(DibsPolicy::Disabled, 10);
         let mut rng = SimRng::new(1);
+        let mut store = PacketStore::new();
         for i in 0..4 {
-            sw.enqueue(pkt(i), 1, &mut rng);
+            offer(&mut sw, &mut store, pkt(i), 1, &mut rng);
         }
         let ack = Packet::ack(
             PacketId(99),
@@ -756,11 +754,11 @@ mod tests {
             64,
             SimTime::ZERO,
         );
-        sw.enqueue(ack, 1, &mut rng);
+        offer(&mut sw, &mut store, ack, 1, &mut rng);
         for _ in 0..4 {
-            sw.dequeue(1);
+            take(&mut sw, &mut store, 1);
         }
-        assert!(!sw.dequeue(1).unwrap().ce);
+        assert!(!take(&mut sw, &mut store, 1).unwrap().ce);
     }
 
     #[test]
@@ -768,12 +766,14 @@ mod tests {
         use dibs_trace::{KindMask, TraceBuffer};
         let mut sw = tiny_switch(DibsPolicy::Random, 2);
         let mut rng = SimRng::new(1);
+        let mut store = PacketStore::new();
         let mut buf = TraceBuffer::new(KindMask::ALL);
-        sw.enqueue_traced(pkt(1), 0, &mut rng, 100, &mut buf);
-        sw.enqueue_traced(pkt(2), 0, &mut rng, 200, &mut buf);
-        // Port 0 is full: packet 3 must detour (and be CE-marked doing so).
-        sw.enqueue_traced(pkt(3), 0, &mut rng, 300, &mut buf);
-        sw.dequeue_traced(0, 400, &mut buf);
+        for (i, t) in [(1, 100), (2, 200), (3, 300)] {
+            // Port 0 holds two: packet 3 must detour (and be CE-marked doing so).
+            let r = store.insert(pkt(i));
+            sw.enqueue(&mut store, r, 0, &mut rng, t, &mut buf);
+        }
+        sw.dequeue(&store, 0, 400, &mut buf);
         let kinds: Vec<TraceKind> = buf.events().iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -805,12 +805,14 @@ mod tests {
         let run = |traced: bool| -> (u64, u64, u64) {
             let mut sw = tiny_switch(DibsPolicy::Random, 2);
             let mut rng = SimRng::new(7);
+            let mut store = PacketStore::new();
             let mut buf = TraceBuffer::new(KindMask::ALL);
             for i in 0..12 {
+                let r = store.insert(pkt(i));
                 if traced {
-                    sw.enqueue_traced(pkt(i), 0, &mut rng, i * 10, &mut buf);
+                    sw.enqueue(&mut store, r, 0, &mut rng, i * 10, &mut buf);
                 } else {
-                    sw.enqueue(pkt(i), 0, &mut rng);
+                    sw.enqueue(&mut store, r, 0, &mut rng, i * 10, &mut NullSink);
                 }
             }
             let c = sw.counters();
@@ -830,20 +832,21 @@ mod tests {
             vec![false, false],
         );
         let mut rng = SimRng::new(1);
+        let mut store = PacketStore::new();
         let mut lo1 = pkt(1);
         lo1.priority = 100;
         let mut lo2 = pkt(2);
         lo2.priority = 90;
         let mut hi = pkt(3);
         hi.priority = 5;
-        sw.enqueue(lo1, 0, &mut rng);
-        sw.enqueue(lo2, 0, &mut rng);
-        let r = sw.enqueue(hi, 0, &mut rng);
+        offer(&mut sw, &mut store, lo1, 0, &mut rng);
+        offer(&mut sw, &mut store, lo2, 0, &mut rng);
+        let r = offer(&mut sw, &mut store, hi, 0, &mut rng);
         assert!(matches!(r.outcome, EnqueueOutcome::Enqueued { port: 0 }));
         let displaced = r.displaced.expect("one packet displaced");
-        assert_eq!(displaced.id.0, 1, "worst priority (100) goes");
+        assert_eq!(store.get(displaced).id.0, 1, "worst priority (100) goes");
         // And the queue serves highest priority first.
-        assert_eq!(sw.dequeue(0).unwrap().id.0, 3);
+        assert_eq!(take(&mut sw, &mut store, 0).unwrap().id.0, 3);
         assert_eq!(sw.counters().displaced, 1);
     }
 
@@ -858,12 +861,13 @@ mod tests {
             vec![false],
         );
         let mut rng = SimRng::new(1);
+        let mut store = PacketStore::new();
         let mut hi = pkt(1);
         hi.priority = 5;
         let mut lo = pkt(2);
         lo.priority = 100;
-        sw.enqueue(hi, 0, &mut rng);
-        let r = sw.enqueue(lo, 0, &mut rng);
+        offer(&mut sw, &mut store, hi, 0, &mut rng);
+        let r = offer(&mut sw, &mut store, lo, 0, &mut rng);
         assert!(matches!(
             r.outcome,
             EnqueueOutcome::Dropped(DropReason::PriorityDisplaced)
@@ -889,10 +893,11 @@ mod tests {
             vec![false, false, false, false],
         );
         let mut rng = SimRng::new(1);
+        let mut store = PacketStore::new();
         // A single hot port can hold far more than total/ports = 5 packets.
         let mut admitted = 0;
         while let EnqueueOutcome::Enqueued { .. } =
-            sw.enqueue(pkt(admitted as u64), 0, &mut rng).outcome
+            offer(&mut sw, &mut store, pkt(admitted as u64), 0, &mut rng).outcome
         {
             admitted += 1;
         }
@@ -906,9 +911,10 @@ mod tests {
     fn free_fraction_tracks_occupancy() {
         let mut sw = tiny_switch(DibsPolicy::Disabled, 10);
         let mut rng = SimRng::new(1);
+        let mut store = PacketStore::new();
         assert_eq!(sw.free_fraction(), 1.0);
         for i in 0..20 {
-            sw.enqueue(pkt(i), 1, &mut rng);
+            offer(&mut sw, &mut store, pkt(i), 1, &mut rng);
         }
         // 10 admitted (limit), 10 dropped; 10 of 40 slots used.
         assert_eq!(sw.total_buffered(), 10);
@@ -929,12 +935,13 @@ mod tests {
             vec![false, false],
         );
         let mut rng = SimRng::new(3);
+        let mut store = PacketStore::new();
         // Occupancy ramps from 0; with onset 0 any nonzero occupancy can
         // trigger early detours well before the queue is full.
         let mut detoured = 0;
         for i in 0..9 {
             if matches!(
-                sw.enqueue(pkt(i), 0, &mut rng).outcome,
+                offer(&mut sw, &mut store, pkt(i), 0, &mut rng).outcome,
                 EnqueueOutcome::Detoured { .. }
             ) {
                 detoured += 1;

@@ -1,15 +1,21 @@
 //! Property-based tests for the switch data path: buffer accounting,
 //! detour eligibility, and pFabric priority behavior under random operation
 //! sequences, driven by the deterministic harness in `dibs_engine::testkit`.
+//!
+//! Packets live in a [`PacketStore`] the way the simulator keeps them: the
+//! tests release every dropped, displaced, and dequeued handle, so the
+//! store's live count must always equal the packets the switch buffers.
 
 use dibs_engine::rng::SimRng;
 use dibs_engine::testkit::{cases_n, vec_of};
 use dibs_engine::time::SimTime;
 use dibs_net::ids::{FlowId, HostId, NodeId, PacketId};
-use dibs_net::packet::Packet;
+use dibs_net::packet::{Packet, PacketStore};
 use dibs_switch::{
-    BufferConfig, DibsPolicy, Discipline, DropReason, EnqueueOutcome, SwitchConfig, SwitchCore,
+    BufferConfig, DibsPolicy, Discipline, DropReason, EnqueueOutcome, EnqueueResult, SwitchConfig,
+    SwitchCore,
 };
+use dibs_trace::NullSink;
 
 fn pkt(id: u64, flow: u32, priority: u64) -> Packet {
     let mut p = Packet::data(
@@ -24,6 +30,30 @@ fn pkt(id: u64, flow: u32, priority: u64) -> Packet {
     );
     p.priority = priority;
     p
+}
+
+/// Parks `p` and offers it to `sw` untraced; releases the handle of a
+/// dropped arrival or a displaced resident, as the simulator does.
+fn offer(
+    sw: &mut SwitchCore,
+    store: &mut PacketStore,
+    p: Packet,
+    port: usize,
+    rng: &mut SimRng,
+) -> (EnqueueResult, Option<Packet>) {
+    let r = store.insert(p);
+    let result = sw.enqueue(store, r, port, rng, 0, &mut NullSink);
+    if let EnqueueOutcome::Dropped(_) = result.outcome {
+        store.release(r);
+    }
+    let displaced = result.displaced.map(|d| store.release(d));
+    (result, displaced)
+}
+
+/// Dequeues from `port` untraced and takes the packet out of `store`.
+fn take(sw: &mut SwitchCore, store: &mut PacketStore, port: usize) -> Option<Packet> {
+    let r = sw.dequeue(store, port, 0, &mut NullSink)?;
+    Some(store.release(r))
 }
 
 /// One random operation against the switch.
@@ -83,6 +113,7 @@ fn static_buffer_invariants() {
             vec![true, false, false, false, false, false],
         );
         let mut sw_rng = SimRng::new(seed);
+        let mut store = PacketStore::new();
         let mut resident = 0usize;
         let mut id = 0u64;
         for op in &ops {
@@ -93,10 +124,14 @@ fn static_buffer_invariants() {
                     priority,
                 } => {
                     id += 1;
-                    match sw
-                        .enqueue(pkt(id, flow, priority), port, &mut sw_rng)
-                        .outcome
-                    {
+                    let (result, _) = offer(
+                        &mut sw,
+                        &mut store,
+                        pkt(id, flow, priority),
+                        port,
+                        &mut sw_rng,
+                    );
+                    match result.outcome {
                         EnqueueOutcome::Enqueued { port: p } => {
                             assert_eq!(p, port);
                             resident += 1;
@@ -114,7 +149,7 @@ fn static_buffer_invariants() {
                     }
                 }
                 Op::Dequeue { port } => {
-                    if sw.dequeue(port).is_some() {
+                    if take(&mut sw, &mut store, port).is_some() {
                         resident -= 1;
                     }
                 }
@@ -123,6 +158,7 @@ fn static_buffer_invariants() {
                 assert!(sw.queue_len(p) <= limit, "port {p} over limit");
             }
             assert_eq!(sw.total_buffered(), resident);
+            assert_eq!(store.live(), resident as u64, "store leaked a handle");
         }
         // Counter bookkeeping balances.
         let c = sw.counters();
@@ -151,6 +187,7 @@ fn dba_pool_never_overflows() {
         };
         let mut sw = SwitchCore::new(NodeId(0), cfg, vec![false; 4]);
         let mut sw_rng = SimRng::new(seed);
+        let mut store = PacketStore::new();
         let mut id = 0u64;
         for op in &ops {
             match *op {
@@ -160,10 +197,16 @@ fn dba_pool_never_overflows() {
                     priority,
                 } => {
                     id += 1;
-                    sw.enqueue(pkt(id, flow, priority), port, &mut sw_rng);
+                    offer(
+                        &mut sw,
+                        &mut store,
+                        pkt(id, flow, priority),
+                        port,
+                        &mut sw_rng,
+                    );
                 }
                 Op::Dequeue { port } => {
-                    sw.dequeue(port);
+                    take(&mut sw, &mut store, port);
                 }
             }
             let buffered_bytes: u64 = (0..sw.num_ports()).map(|p| sw.queue_bytes(p)).sum();
@@ -172,6 +215,7 @@ fn dba_pool_never_overflows() {
                 "pool overflow: {buffered_bytes}"
             );
             assert!((0.0..=1.0).contains(&sw.free_fraction()));
+            assert_eq!(store.live(), sw.total_buffered() as u64);
         }
     });
 }
@@ -189,14 +233,15 @@ fn pfabric_priority_invariants() {
         };
         let mut sw = SwitchCore::new(NodeId(0), cfg, vec![false]);
         let mut sw_rng = SimRng::new(1);
+        let mut store = PacketStore::new();
         let mut admitted: Vec<u64> = Vec::new();
         for (i, &pr) in priorities.iter().enumerate() {
             let fid = u32::try_from(i).expect("loop index fits u32");
-            let r = sw.enqueue(pkt(i as u64, fid, pr), 0, &mut sw_rng);
+            let (r, displaced) = offer(&mut sw, &mut store, pkt(i as u64, fid, pr), 0, &mut sw_rng);
             match r.outcome {
                 EnqueueOutcome::Enqueued { .. } => {
                     admitted.push(pr);
-                    if let Some(d) = r.displaced {
+                    if let Some(d) = displaced {
                         // The displaced packet had the worst priority.
                         let pos = admitted.iter().position(|&x| x == d.priority).unwrap();
                         admitted.remove(pos);
@@ -211,13 +256,15 @@ fn pfabric_priority_invariants() {
                 }
                 EnqueueOutcome::Detoured { .. } => panic!("pFabric never detours"),
             }
+            assert_eq!(store.live(), sw.total_buffered() as u64);
         }
         // Drain: priorities come out sorted ascending (highest priority =
         // smallest first).
         let mut out = Vec::new();
-        while let Some(p) = sw.dequeue(0) {
+        while let Some(p) = take(&mut sw, &mut store, 0) {
             out.push(p.priority);
         }
+        assert_eq!(store.live(), 0);
         let mut sorted = out.clone();
         sorted.sort_unstable();
         assert_eq!(&out, &sorted, "pFabric dequeue must follow priority order");
@@ -244,11 +291,12 @@ fn ecn_marks_match_threshold() {
         };
         let mut sw = SwitchCore::new(NodeId(0), cfg, vec![false]);
         let mut sw_rng = SimRng::new(1);
+        let mut store = PacketStore::new();
         for i in 0..n {
-            sw.enqueue(pkt(i as u64, 0, 1), 0, &mut sw_rng);
+            offer(&mut sw, &mut store, pkt(i as u64, 0, 1), 0, &mut sw_rng);
         }
         let mut marked = 0;
-        while let Some(p) = sw.dequeue(0) {
+        while let Some(p) = take(&mut sw, &mut store, 0) {
             if p.ce {
                 marked += 1;
             }
