@@ -81,7 +81,7 @@ pub struct Harness {
     /// `DIBS_SEED`).
     pub master_seed: u64,
     /// Event-trace spec from `--trace` / `DIBS_TRACE`, if any.
-    pub trace: Option<String>,
+    pub trace: Option<dibs::TraceSpec>,
 }
 
 impl Default for Harness {
@@ -91,42 +91,78 @@ impl Default for Harness {
 }
 
 impl Harness {
-    /// Builds a harness from argv (`--quick` / `--full` / `--jobs N` /
-    /// `--seed N`) and the `DIBS_SCALE` / `DIBS_JOBS` / `DIBS_SEED`
-    /// environment variables (argv wins).
+    /// Builds a harness from argv and the environment (see
+    /// [`Harness::parse`]). A malformed value is reported and the process
+    /// exits with status 2 rather than running with a default the user
+    /// did not ask for.
     pub fn from_env() -> Self {
-        let mut args: Vec<String> = std::env::args().skip(1).collect();
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        match Harness::parse(&args, |key| std::env::var(key).ok()) {
+            Ok(h) => {
+                timing::meter_start();
+                h
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// Parses the flags `--quick` / `--full` / `--default` / `--jobs N` /
+    /// `--seed N` / `--trace SPEC` out of `args`, over the `DIBS_SCALE` /
+    /// `DIBS_JOBS` / `DIBS_SEED` / `DIBS_TRACE` / `DIBS_RESULTS_DIR`
+    /// variables that `env` looks up (argv wins; an empty variable counts
+    /// as unset). Reads no process state.
+    ///
+    /// A malformed seed, scale, or trace spec, or a flag missing its
+    /// value, is an error. Unknown arguments only warn, because
+    /// `repro_all` forwards its own argv to every binary.
+    pub fn parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Harness, String> {
+        let env = |key: &str| env(key).filter(|v| !v.trim().is_empty());
+        let mut args = args.to_vec();
         let jobs = dibs_harness::take_jobs_flag(&mut args)
-            .or_else(dibs_harness::env_jobs)
+            .or_else(|| {
+                env(dibs_harness::JOBS_ENV)
+                    .and_then(|v| v.trim().parse::<usize>().ok())
+                    .filter(|&j| j >= 1)
+            })
             .unwrap_or_else(dibs_harness::default_jobs);
 
-        let mut scale = match std::env::var("DIBS_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            Ok("full") => Scale::Full,
-            _ => Scale::Default,
+        let parse_scale = |v: &str| match v {
+            "quick" => Ok(Scale::Quick),
+            "default" => Ok(Scale::Default),
+            "full" => Ok(Scale::Full),
+            other => Err(format!(
+                "DIBS_SCALE=`{other}` is not one of quick, default, full"
+            )),
         };
-        let mut master_seed = std::env::var("DIBS_SEED")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_MASTER_SEED);
-        let mut trace = std::env::var("DIBS_TRACE").ok();
+        let parse_seed = |what: &str, v: &str| {
+            v.trim()
+                .parse::<u64>()
+                .map_err(|_| format!("{what} `{v}` is not an unsigned 64-bit integer"))
+        };
+        let parse_trace = |what: &str, v: &str| {
+            v.parse::<dibs::TraceSpec>()
+                .map_err(|e| format!("{what} `{v}`: {e}"))
+        };
 
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut scale = env("DIBS_SCALE").map_or(Ok(Scale::Default), |v| parse_scale(&v))?;
+        let mut master_seed =
+            env("DIBS_SEED").map_or(Ok(DEFAULT_MASTER_SEED), |v| parse_seed("DIBS_SEED", &v))?;
+        let mut trace = env("DIBS_TRACE")
+            .map(|v| parse_trace("DIBS_TRACE", &v))
+            .transpose()?;
+
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let mut value = || it.next().ok_or_else(|| format!("{arg} needs a value"));
+            match arg.as_str() {
                 "--quick" => scale = Scale::Quick,
                 "--full" => scale = Scale::Full,
                 "--default" => scale = Scale::Default,
-                "--seed" if i + 1 < args.len() => {
-                    if let Ok(s) = args[i + 1].parse::<u64>() {
-                        master_seed = s;
-                    }
-                    i += 1;
-                }
-                "--trace" if i + 1 < args.len() => {
-                    trace = Some(args[i + 1].clone());
-                    i += 1;
-                }
+                "--seed" => master_seed = parse_seed("--seed", value()?)?,
+                "--trace" => trace = Some(parse_trace("--trace", value()?)?),
                 other => {
                     eprintln!(
                         "warning: unrecognized argument `{other}` \
@@ -134,40 +170,30 @@ impl Harness {
                     );
                 }
             }
-            i += 1;
         }
-        let out_dir = std::env::var("DIBS_RESULTS_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("results"));
-        timing::meter_start();
-        Harness {
+        let out_dir =
+            env("DIBS_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from);
+        Ok(Harness {
             scale,
             out_dir,
             jobs,
             master_seed,
             trace,
-        }
+        })
     }
 
     /// The tracer requested via `--trace` / `DIBS_TRACE`, falling back to
     /// `default` when neither was given (binaries with their own trace
     /// needs, like `fig02_detour_timeline`, pass a non-`off` default).
-    ///
-    /// A malformed user spec is reported and degrades to `default` rather
-    /// than silently tracing the wrong kinds.
+    /// A user spec was validated by [`Harness::parse`]; `default` is the
+    /// binary's own literal and must parse.
     pub fn tracer_or(&self, default: &str) -> dibs::Tracer {
-        let requested = self.trace.as_deref();
-        let spec = requested.unwrap_or(default);
-        match spec.parse::<dibs::TraceSpec>() {
-            Ok(s) => dibs::Tracer::from_spec(&s),
-            Err(e) => {
-                eprintln!("warning: bad trace spec `{spec}` ({e}); using `{default}`");
-                default
-                    .parse::<dibs::TraceSpec>()
-                    .map(|s| dibs::Tracer::from_spec(&s))
-                    .unwrap_or_else(|_| dibs::Tracer::off())
-            }
-        }
+        let spec = self.trace.unwrap_or_else(|| {
+            default
+                .parse()
+                .unwrap_or_else(|e| panic!("built-in trace spec `{default}`: {e}"))
+        });
+        dibs::Tracer::from_spec(&spec)
     }
 
     /// Writes a captured trace as Chrome-viewable JSON next to the
@@ -281,6 +307,80 @@ mod tests {
     fn parallel_map_preserves_order() {
         let out = parallel_map((0..100).collect::<Vec<i32>>(), |x| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    fn parse(args: &[&str], env: &[(&str, &str)]) -> Result<Harness, String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_string()).collect();
+        Harness::parse(&args, |key| {
+            env.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| (*v).to_string())
+        })
+    }
+
+    #[test]
+    fn parse_defaults_without_flags_or_env() {
+        let h = parse(&[], &[]).unwrap();
+        assert_eq!(h.scale, Scale::Default);
+        assert_eq!(h.master_seed, DEFAULT_MASTER_SEED);
+        assert_eq!(h.trace, None);
+        assert_eq!(h.out_dir, PathBuf::from("results"));
+    }
+
+    #[test]
+    fn malformed_seed_flag_is_an_error() {
+        let err = parse(&["--seed", "x"], &[]).unwrap_err();
+        assert!(err.contains("--seed `x`"), "{err}");
+        let err = parse(&["--seed"], &[]).unwrap_err();
+        assert!(err.contains("--seed needs a value"), "{err}");
+    }
+
+    #[test]
+    fn malformed_seed_env_is_an_error() {
+        let err = parse(&[], &[("DIBS_SEED", "12ab")]).unwrap_err();
+        assert!(err.contains("DIBS_SEED `12ab`"), "{err}");
+    }
+
+    #[test]
+    fn unknown_scale_env_is_an_error() {
+        let err = parse(&[], &[("DIBS_SCALE", "huge")]).unwrap_err();
+        assert!(err.contains("DIBS_SCALE=`huge`"), "{err}");
+    }
+
+    #[test]
+    fn malformed_trace_spec_is_an_error() {
+        let err = parse(&["--trace", "bogus"], &[]).unwrap_err();
+        assert!(err.contains("--trace `bogus`"), "{err}");
+        let err = parse(&[], &[("DIBS_TRACE", "flight:lots")]).unwrap_err();
+        assert!(err.contains("DIBS_TRACE `flight:lots`"), "{err}");
+        let err = parse(&["--trace"], &[]).unwrap_err();
+        assert!(err.contains("--trace needs a value"), "{err}");
+    }
+
+    #[test]
+    fn valid_flags_override_env() {
+        let env = [
+            ("DIBS_SCALE", "full"),
+            ("DIBS_SEED", "5"),
+            ("DIBS_TRACE", "all"),
+            ("DIBS_RESULTS_DIR", "elsewhere"),
+        ];
+        let from_env = parse(&[], &env).unwrap();
+        assert_eq!(from_env.scale, Scale::Full);
+        assert_eq!(from_env.master_seed, 5);
+        assert_eq!(from_env.trace, Some("all".parse().unwrap()));
+        assert_eq!(from_env.out_dir, PathBuf::from("elsewhere"));
+
+        let h = parse(&["--quick", "--seed", "7", "--trace", "detour"], &env).unwrap();
+        assert_eq!(h.scale, Scale::Quick);
+        assert_eq!(h.master_seed, 7);
+        assert_eq!(h.trace, Some("detour".parse().unwrap()));
+    }
+
+    #[test]
+    fn unknown_flags_only_warn() {
+        let h = parse(&["--frobnicate", "--seed", "3"], &[]).unwrap();
+        assert_eq!(h.master_seed, 3);
     }
 
     #[test]

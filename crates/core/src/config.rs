@@ -90,13 +90,6 @@ pub struct SimConfig {
     /// Absolute utilization threshold for a link to count as hot (Fig 4
     /// uses 0.9).
     pub hot_link_threshold: f64,
-    /// Capture per-packet path traces (Fig 1). Memory-heavy; only for
-    /// short diagnostic runs.
-    pub trace_paths: bool,
-    /// Cap on captured detour events (Fig 2a scatter).
-    pub detour_log_cap: usize,
-    /// Take full buffer-occupancy snapshots at each sample tick (Fig 2b).
-    pub occupancy_snapshots: bool,
     /// Long-lived-flow throughput is measured from this instant to the
     /// horizon, excluding the synchronized-start transient (§5.6).
     /// `None` measures from time zero.
@@ -125,9 +118,6 @@ impl SimConfig {
             horizon: dibs_engine::time::SimTime::from_secs(10),
             sample_interval: None,
             hot_link_threshold: 0.9,
-            trace_paths: false,
-            detour_log_cap: 100_000,
-            occupancy_snapshots: false,
             throughput_warmup: None,
             ecmp: EcmpMode::FlowLevel,
             arch: SwitchArch::OutputQueued,

@@ -39,7 +39,7 @@ pub mod rundesc;
 pub mod sim;
 
 pub use config::{EcmpMode, PfcConfig, SimConfig, SwitchArch};
-pub use results::{FlowOutcome, PacketPath, QueryOutcome, RunDigest, RunResults};
+pub use results::{FlowOutcome, QueryOutcome, RunDigest, RunResults};
 pub use rundesc::RunDescriptor;
 pub use sim::Simulation;
 

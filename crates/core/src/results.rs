@@ -1,8 +1,8 @@
 //! Per-run measurement outputs.
 
 use dibs_engine::time::{SimDuration, SimTime};
-use dibs_net::ids::{HostId, PacketId};
-use dibs_stats::{DetourLog, NetCounters, OccupancySnapshot, Samples};
+use dibs_net::ids::HostId;
+use dibs_stats::{NetCounters, Samples};
 use dibs_workload::FlowClass;
 
 /// Outcome of one flow.
@@ -39,20 +39,6 @@ pub struct QueryOutcome {
     pub qct: Option<SimDuration>,
 }
 
-/// A traced packet path (Fig 1): the sequence of nodes the packet visited,
-/// with detour hops flagged.
-#[derive(Debug, Clone)]
-pub struct PacketPath {
-    /// The packet.
-    pub id: PacketId,
-    /// Nodes visited, in order (switches and final host).
-    pub nodes: Vec<dibs_net::NodeId>,
-    /// `detour[i]` — whether the hop *into* `nodes[i]` was a detour.
-    pub detour: Vec<bool>,
-    /// Total detours experienced.
-    pub detours: u16,
-}
-
 /// Everything measured in one run.
 #[derive(Debug)]
 pub struct RunResults {
@@ -71,8 +57,6 @@ pub struct RunResults {
     pub counters: NetCounters,
     /// Detours per switch (indexed by `SwitchId`).
     pub detours_per_switch: Vec<u64>,
-    /// Capped detour event log (Fig 2a).
-    pub detour_log: DetourLog,
     /// Histogram of per-packet detour counts at delivery; index = number of
     /// detours (saturating at the last bucket).
     pub detour_histogram: Vec<u64>,
@@ -83,12 +67,8 @@ pub struct RunResults {
     pub neighbor_free_1hop: Vec<f64>,
     /// Same for 2-hop neighborhoods.
     pub neighbor_free_2hop: Vec<f64>,
-    /// Buffer occupancy snapshots (Fig 2b), when enabled.
-    pub occupancy: Vec<OccupancySnapshot>,
     /// Goodput of each long-lived flow, bits/second (§5.6 fairness).
     pub long_lived_throughput_bps: Vec<f64>,
-    /// Traced packet paths (Fig 1), when enabled.
-    pub paths: Vec<PacketPath>,
     /// PFC PAUSE assertions observed (zero unless flow control is on).
     pub pfc_pause_events: u64,
     /// Packets still inside the fabric (NIC queues, ingress pipelines,
@@ -220,7 +200,6 @@ impl RunDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dibs_stats::DetourLog;
 
     fn empty_results() -> RunResults {
         RunResults {
@@ -231,14 +210,11 @@ mod tests {
             queries: Vec::new(),
             counters: NetCounters::default(),
             detours_per_switch: Vec::new(),
-            detour_log: DetourLog::new(0),
             detour_histogram: vec![0; 65],
             hot_fraction_samples: Vec::new(),
             neighbor_free_1hop: Vec::new(),
             neighbor_free_2hop: Vec::new(),
-            occupancy: Vec::new(),
             long_lived_throughput_bps: Vec::new(),
-            paths: Vec::new(),
             pfc_pause_events: 0,
             packets_in_flight: 0,
             events_dispatched: 0,

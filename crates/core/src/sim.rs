@@ -9,27 +9,24 @@
 
 use crate::audit::{AuditLedger, LedgerSnapshot};
 use crate::config::SimConfig;
-use crate::results::{FlowOutcome, PacketPath, QueryOutcome, RunResults};
+use crate::results::{FlowOutcome, QueryOutcome, RunResults};
 use dibs_engine::rng::SimRng;
 use dibs_engine::time::{SimDuration, SimTime};
 use dibs_engine::Engine;
 use dibs_fault::{FaultAction, FaultError, FaultPlan, FaultSpec};
-use dibs_net::ids::{FlowId, HostId, LinkId, NodeId, PacketId};
+use dibs_net::ids::{FlowId, HostId, LinkId, NodeId};
 use dibs_net::packet::{Packet, PacketStore, PktRef};
 use dibs_net::routing::{EcmpMemo, Fib};
-use dibs_net::topology::{SwitchLayer, Topology};
-use dibs_stats::{DetourLog, NetCounters, OccupancySnapshot, Samples};
+use dibs_net::topology::Topology;
+use dibs_stats::{NetCounters, Samples};
 use dibs_switch::{EnqueueOutcome, SwitchCore};
 use dibs_trace::{TraceEvent, TraceKind, TraceSink, Tracer};
 use dibs_transport::{trace_packet_out, IdGen, TcpReceiver, TcpSender};
 use dibs_workload::{FlowClass, FlowSpec, QuerySpec};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Maximum distinct detour counts tracked in the delivery histogram.
 const DETOUR_HIST_BUCKETS: usize = 65;
-/// Cap on retained packet paths when tracing.
-const MAX_TRACED_PATHS: usize = 4096;
 /// Cap on the packet-store pre-size: live packets are bounded by the
 /// buffers and windows in flight, far below a run's total packet count.
 const STORE_RESERVE_CAP: usize = 1 << 14;
@@ -98,14 +95,6 @@ struct QueryState {
     qct: Option<SimDuration>,
 }
 
-#[derive(Default)]
-struct PathTrace {
-    nodes: Vec<NodeId>,
-    detour: Vec<bool>,
-    pending_detour: bool,
-    detours: u16,
-}
-
 /// Runtime state of an installed fault schedule.
 ///
 /// Absent (`Simulation::faults == None`) the data path takes one dead
@@ -172,7 +161,6 @@ pub struct Simulation {
     queries: Vec<QueryState>,
 
     counters: NetCounters,
-    detour_log: DetourLog,
     detours_per_switch: Vec<u64>,
     detour_hist: Vec<u64>,
     qct_ms: Samples,
@@ -187,15 +175,12 @@ pub struct Simulation {
     hot_samples: Vec<f64>,
     neighbor_free_1hop: Vec<f64>,
     neighbor_free_2hop: Vec<f64>,
-    occupancy: Vec<OccupancySnapshot>,
     /// 1-hop switch neighborhood of each switch (switch indices).
     neighbors1: Vec<Vec<usize>>,
     /// 2-hop switch neighborhood (excluding self and 1-hop).
     neighbors2: Vec<Vec<usize>>,
     last_sample: SimTime,
 
-    traces: BTreeMap<u64, PathTrace>,
-    finished_paths: Vec<PacketPath>,
     /// `(time, per-flow rcv_nxt)` captured at the warmup instant.
     warmup_snapshot: Option<(SimTime, Vec<u64>)>,
     /// `paused[node][port]` — the peer has PAUSEd this port (PFC).
@@ -300,7 +285,6 @@ impl Simulation {
             flows: Vec::new(),
             queries: Vec::new(),
             counters: NetCounters::default(),
-            detour_log: DetourLog::new(config.detour_log_cap),
             detours_per_switch: vec![0; n_sw],
             detour_hist: vec![0; DETOUR_HIST_BUCKETS],
             qct_ms: Samples::new(),
@@ -311,12 +295,9 @@ impl Simulation {
             hot_samples: Vec::new(),
             neighbor_free_1hop: Vec::new(),
             neighbor_free_2hop: Vec::new(),
-            occupancy: Vec::new(),
             neighbors1,
             neighbors2,
             last_sample: SimTime::ZERO,
-            traces: BTreeMap::new(),
-            finished_paths: Vec::new(),
             warmup_snapshot: None,
             paused: (0..topo.num_nodes())
                 .map(|n| vec![false; topo.num_ports(NodeId::from_index(n))])
@@ -771,10 +752,9 @@ impl Simulation {
         let now = self.engine.now();
         let src = self.flows[fi].spec.src;
         let node = self.topo.host_node(src).0;
-        let pkts =
-            self.flows[fi]
-                .sender
-                .on_rto_traced(gen, now, &mut self.ids, node, &mut self.tracer);
+        let pkts = self.flows[fi]
+            .sender
+            .on_rto(gen, now, &mut self.ids, node, &mut self.tracer);
         for p in pkts {
             self.host_send(src, p);
         }
@@ -807,23 +787,10 @@ impl Simulation {
                 &mut self.tracer,
             );
         }
-        if self.config.trace_paths {
-            let node = self.topo.host_node(host);
-            self.traces.insert(
-                pkt.id.0,
-                PathTrace {
-                    nodes: vec![node],
-                    detour: vec![false],
-                    pending_detour: false,
-                    detours: 0,
-                },
-            );
-        }
         if self.host_nic[host.index()].queue.len() >= self.config.host_nic_cap {
             // Qdisc-style local drop, before the packet ever enters the
             // store; the transport retransmits later.
             self.counters.drops_host_nic += 1;
-            self.traces.remove(&pkt.id.0);
             let node = self.topo.host_node(host).0;
             self.trace_pkt(TraceKind::Drop, node, &pkt);
             return;
@@ -873,11 +840,10 @@ impl Simulation {
         }
     }
 
-    /// Takes a packet that leaves the fabric undelivered out of the store,
-    /// forgets its path trace, and records `kind` at `node`.
+    /// Takes a packet that leaves the fabric undelivered out of the store
+    /// and records `kind` at `node`.
     fn discard(&mut self, r: PktRef, node: NodeId, kind: TraceKind) -> Packet {
         let pkt = self.store.release(r);
-        self.traces.remove(&pkt.id.0);
         self.trace_pkt(kind, node.0, &pkt);
         pkt
     }
@@ -912,7 +878,6 @@ impl Simulation {
                 FlowClass::LongLived => {}
             }
         }
-        self.finish_trace(&pkt, host);
 
         let now = self.engine.now();
         let fi = pkt.flow.index();
@@ -974,7 +939,6 @@ impl Simulation {
         if let Some(host) = self.topo.as_host(node) {
             // Delivery: the packet leaves the store here.
             let pkt = self.store.release(r);
-            self.record_trace_hop(pkt.id.0, node);
             self.deliver(host, pkt);
         } else {
             self.on_switch_arrive(node, r);
@@ -1011,8 +975,7 @@ impl Simulation {
             pkt.detours,
             pkt.hops
         );
-        let (id, ingress) = (pkt.id.0, usize::from(pkt.last_ingress));
-        self.record_trace_hop(id, node);
+        let ingress = usize::from(pkt.last_ingress);
 
         if let crate::config::SwitchArch::Cioq {
             ingress_packets, ..
@@ -1109,7 +1072,6 @@ impl Simulation {
         if let Some(d) = result.displaced {
             self.counters.drops_displaced += 1;
             let displaced = self.store.release(d);
-            self.traces.remove(&displaced.id.0);
             self.pfc_on_dequeued(si, usize::from(displaced.last_ingress));
         }
         match result.outcome {
@@ -1120,15 +1082,6 @@ impl Simulation {
             EnqueueOutcome::Detoured { port } => {
                 self.counters.detours += 1;
                 self.detours_per_switch[si] += 1;
-                let layer = layer_code(self.topo.layer(node));
-                let si32 = u32::try_from(si).expect("switch index fits u32");
-                self.detour_log.record(self.engine.now(), si32, layer);
-                if self.config.trace_paths {
-                    if let Some(t) = self.traces.get_mut(&pid) {
-                        t.pending_detour = true;
-                        t.detours += 1;
-                    }
-                }
                 self.pfc_on_buffered(node, si, ingress);
                 self.kick_switch_port(node, si, port);
             }
@@ -1136,7 +1089,6 @@ impl Simulation {
                 // The switch already traced the drop.
                 self.counters.drops_buffer += 1;
                 self.store.release(r);
-                self.traces.remove(&pid);
             }
         }
     }
@@ -1264,39 +1216,7 @@ impl Simulation {
     }
 
     // ------------------------------------------------------------------
-    // Tracing (Fig 1).
-    // ------------------------------------------------------------------
-
-    fn record_trace_hop(&mut self, id: u64, node: NodeId) {
-        if !self.config.trace_paths {
-            return;
-        }
-        if let Entry::Occupied(mut e) = self.traces.entry(id) {
-            let t = e.get_mut();
-            let was_detour = std::mem::take(&mut t.pending_detour);
-            t.nodes.push(node);
-            t.detour.push(was_detour);
-        }
-    }
-
-    fn finish_trace(&mut self, pkt: &Packet, _host: HostId) {
-        if !self.config.trace_paths {
-            return;
-        }
-        if let Some(t) = self.traces.remove(&pkt.id.0) {
-            if t.detours > 0 && self.finished_paths.len() < MAX_TRACED_PATHS {
-                self.finished_paths.push(PacketPath {
-                    id: PacketId(pkt.id.0),
-                    nodes: t.nodes,
-                    detour: t.detour,
-                    detours: t.detours,
-                });
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Sampling (Figs 2, 4, 5).
+    // Sampling (Figs 4, 5).
     // ------------------------------------------------------------------
 
     fn on_sample(&mut self) {
@@ -1354,18 +1274,6 @@ impl Simulation {
         }
         if n2 > 0 {
             self.neighbor_free_2hop.push(sum2 / n2 as f64);
-        }
-
-        if self.config.occupancy_snapshots {
-            let per_switch: Vec<Vec<usize>> = self
-                .switches
-                .iter()
-                .map(|sw| (0..sw.num_ports()).map(|p| sw.queue_len(p)).collect())
-                .collect();
-            self.occupancy.push(OccupancySnapshot {
-                time_s: now.as_secs_f64(),
-                per_switch,
-            });
         }
 
         if let Some(interval) = self.config.sample_interval {
@@ -1450,28 +1358,16 @@ impl Simulation {
             queries: query_outcomes,
             counters: self.counters,
             detours_per_switch: self.detours_per_switch,
-            detour_log: self.detour_log,
             detour_histogram: self.detour_hist,
             hot_fraction_samples: self.hot_samples,
             neighbor_free_1hop: self.neighbor_free_1hop,
             neighbor_free_2hop: self.neighbor_free_2hop,
-            occupancy: self.occupancy,
             long_lived_throughput_bps: long_lived,
-            paths: self.finished_paths,
             pfc_pause_events: self.pause_events,
             packets_in_flight,
             events_dispatched,
             finished_at,
             trace: self.tracer.into_report(queue_hwm),
         }
-    }
-}
-
-fn layer_code(layer: SwitchLayer) -> u8 {
-    match layer {
-        SwitchLayer::Edge => 0,
-        SwitchLayer::Aggregation => 1,
-        SwitchLayer::Core => 2,
-        SwitchLayer::Other => 3,
     }
 }

@@ -273,40 +273,13 @@ fn fairness_dibs_does_not_induce_unfairness() {
     );
 }
 
-/// Fig 1 infrastructure: path tracing captures multi-detour packets whose
-/// recorded paths are connected in the topology.
-#[test]
-fn packet_paths_are_traceable_and_connected() {
-    let mut cfg = SimConfig::dctcp_dibs();
-    cfg.trace_paths = true;
-    let results = testbed_incast_sim(cfg, 5, 10, 32_000).run();
-    assert!(!results.paths.is_empty(), "some packets must detour");
-    let topo = dibs_net::builders::mini_testbed(LinkSpec::gbit(1));
-    let most = results
-        .paths
-        .iter()
-        .max_by_key(|p| p.detours)
-        .expect("nonempty");
-    assert!(most.detours >= 1);
-    assert_eq!(most.nodes.len(), most.detour.len());
-    // Consecutive trace nodes must be topology neighbors.
-    for w in most.nodes.windows(2) {
-        let connected = topo.node(w[0]).ports.iter().any(|p| p.peer == w[1]);
-        assert!(connected, "trace hop {} -> {} not a link", w[0], w[1]);
-    }
-    // Detour count on the path matches the flags.
-    let flagged = most.detour.iter().filter(|&&d| d).count();
-    assert_eq!(flagged, usize::from(most.detours));
-}
-
 /// Detour bookkeeping is consistent: per-switch counts sum to the global
-/// counter, and the capped log observed the same number.
+/// counter.
 #[test]
 fn detour_accounting_consistent() {
     let results = testbed_incast_sim(SimConfig::dctcp_dibs(), 5, 10, 32_000).run();
     let per_switch: u64 = results.detours_per_switch.iter().sum();
     assert_eq!(per_switch, results.counters.detours);
-    assert_eq!(results.detour_log.observed, results.counters.detours);
     // Histogram mass equals delivered packets.
     let hist_total: u64 = results.detour_histogram.iter().sum();
     assert_eq!(hist_total, results.counters.packets_delivered);
@@ -339,7 +312,6 @@ fn alternative_policies_also_lossless() {
 fn sampling_produces_hotlink_series() {
     let mut cfg = SimConfig::dctcp_dibs();
     cfg.sample_interval = Some(SimDuration::from_millis(1));
-    cfg.occupancy_snapshots = true;
     let results = testbed_incast_sim(cfg, 5, 10, 32_000).run();
     assert!(!results.hot_fraction_samples.is_empty());
     // The receiver's downlink saturates during the burst: some sample must
@@ -355,9 +327,6 @@ fn sampling_produces_hotlink_series() {
         .neighbor_free_1hop
         .iter()
         .all(|&f| (0.0..=1.0).contains(&f)));
-    assert!(!results.occupancy.is_empty());
-    // Snapshot dimensions match the topology (5 switches).
-    assert_eq!(results.occupancy[0].per_switch.len(), 5);
 }
 
 /// An ECN-blind loss-based sender (NewReno semantics with marking ignored)

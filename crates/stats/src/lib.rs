@@ -4,7 +4,7 @@
 //!
 //! * [`summary`] — sample collections, exact percentiles, Jain's index.
 //! * [`counters`] — network-wide event counters.
-//! * [`timeseries`] — detour scatter logs and occupancy snapshots (Fig 2).
+//! * [`timeseries`] — `(time, value)` series.
 //! * [`record`] — serializable experiment records and table rendering.
 //! * [`svg`] — dependency-free SVG line charts of those records.
 
@@ -18,4 +18,4 @@ pub use counters::NetCounters;
 pub use record::{ExperimentRecord, SeriesPoint};
 pub use summary::{jain_index, Samples, Summary};
 pub use svg::{LineChart, Series};
-pub use timeseries::{DetourEvent, DetourLog, OccupancySnapshot, TimeSeries};
+pub use timeseries::TimeSeries;

@@ -1,4 +1,4 @@
-//! Time-series collectors for the Figure 2 style diagnostics.
+//! A `(time, value)` series collector.
 
 use dibs_engine::time::SimTime;
 
@@ -41,69 +41,6 @@ impl TimeSeries {
     }
 }
 
-/// One detour event: which switch detoured a packet and when (Fig 2a plots
-/// exactly this scatter).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetourEvent {
-    /// Time in seconds.
-    pub time_s: f64,
-    /// Switch index (topology `SwitchId`).
-    pub switch: u32,
-    /// Switch layer: 0 = edge, 1 = aggregation, 2 = core, 3 = other.
-    pub layer: u8,
-}
-
-/// An append-only log of detour events with a hard cap (the scatter only
-/// needs enough points to draw; unbounded logging would dominate memory in
-/// extreme runs).
-#[derive(Debug, Clone)]
-pub struct DetourLog {
-    /// Captured events (up to `cap`).
-    pub events: Vec<DetourEvent>,
-    /// Capacity cap.
-    pub cap: usize,
-    /// Events observed in total, including those beyond the cap.
-    pub observed: u64,
-}
-
-impl DetourLog {
-    /// Creates a log capped at `cap` events.
-    pub fn new(cap: usize) -> Self {
-        DetourLog {
-            events: Vec::new(),
-            cap,
-            observed: 0,
-        }
-    }
-
-    /// Records a detour at `switch`/`layer`.
-    pub fn record(&mut self, time: SimTime, switch: u32, layer: u8) {
-        self.observed += 1;
-        if self.events.len() < self.cap {
-            self.events.push(DetourEvent {
-                time_s: time.as_secs_f64(),
-                switch,
-                layer,
-            });
-        }
-    }
-
-    /// Whether events were discarded due to the cap.
-    pub fn truncated(&self) -> bool {
-        self.observed > self.events.len() as u64
-    }
-}
-
-/// A buffer-occupancy snapshot for one switch: one value per port (Fig 2b's
-/// bar groups).
-#[derive(Debug, Clone)]
-pub struct OccupancySnapshot {
-    /// Time in seconds.
-    pub time_s: f64,
-    /// `per_switch[s][p]` = packets queued on port `p` of switch `s`.
-    pub per_switch: Vec<Vec<usize>>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,17 +55,6 @@ mod tests {
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.max_value(), Some(5.0));
         assert_eq!(ts.points[0], (0.001, 3.0));
-    }
-
-    #[test]
-    fn detour_log_caps() {
-        let mut log = DetourLog::new(3);
-        for i in 0..10 {
-            log.record(SimTime::from_micros(i), u32::try_from(i).unwrap(), 0);
-        }
-        assert_eq!(log.events.len(), 3);
-        assert_eq!(log.observed, 10);
-        assert!(log.truncated());
     }
 
     #[test]
@@ -160,32 +86,5 @@ mod tests {
         ts.push(SimTime::ZERO, -3.0);
         ts.push(SimTime::from_micros(1), -1.5);
         assert_eq!(ts.max_value(), Some(-1.5));
-    }
-
-    #[test]
-    fn detour_log_under_cap_is_not_truncated() {
-        let mut log = DetourLog::new(8);
-        log.record(SimTime::from_micros(1), 3, 1);
-        assert_eq!(log.events.len(), 1);
-        assert_eq!(log.observed, 1);
-        assert!(!log.truncated());
-        assert_eq!(
-            log.events[0],
-            DetourEvent {
-                time_s: 1e-6,
-                switch: 3,
-                layer: 1
-            }
-        );
-    }
-
-    #[test]
-    fn detour_log_zero_cap_records_nothing_but_counts() {
-        let mut log = DetourLog::new(0);
-        log.record(SimTime::ZERO, 0, 0);
-        log.record(SimTime::from_micros(1), 1, 2);
-        assert!(log.events.is_empty());
-        assert_eq!(log.observed, 2);
-        assert!(log.truncated());
     }
 }

@@ -46,8 +46,8 @@ pub mod sink;
 pub use event::{KindMask, TraceEvent, TraceKind};
 pub use export::{is_chrome_trace, is_queue_transition};
 pub use query::{
-    detour_loop_packets, flow_packets, packet_hops, packet_lifecycle, per_flow_hops, Hop,
-    OccupancyTracker,
+    delivered_path, detour_loop_packets, flow_packets, packet_hops, packet_lifecycle,
+    per_flow_hops, Hop, OccupancyTracker, PathNode,
 };
 pub use recorder::{FlightRecorder, TraceBuffer, TraceMode, TraceReport, TraceSpec, Tracer};
 pub use sink::{NullSink, TraceSink};

@@ -1,5 +1,6 @@
-//! Post-hoc queries over a captured event stream: packet lifecycles,
-//! per-flow hop lists, detour-loop detection, occupancy folding.
+//! Post-hoc queries over a captured event stream: packet lifecycles and
+//! delivered paths, per-flow hop lists, detour-loop detection, occupancy
+//! folding.
 //!
 //! All helpers take a plain `&[TraceEvent]` slice (as held by a
 //! `TraceReport`), assume it is in emission order — which equals
@@ -50,6 +51,50 @@ pub fn packet_hops(events: &[TraceEvent], packet: u64) -> Vec<Hop> {
             _ => None,
         })
         .collect()
+}
+
+/// One node on a delivered packet's path (see [`delivered_path`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathNode {
+    /// Topology node id (host or switch).
+    pub node: u32,
+    /// Whether the packet reached this node via a detour, i.e. the
+    /// previous node's switch detoured it ([`Hop::detour`] flags the
+    /// decision *at* a hop; this flags the arc *into* the node).
+    pub via_detour: bool,
+}
+
+/// The node path of a delivered packet: its emitting host (from the
+/// `Send`/`Retransmit`/`Ack` event), one node per [`packet_hops`] entry,
+/// and the receiving host (from the `Deliver` event). `None` when the
+/// slice lacks the emission or the delivery, e.g. because the capture
+/// filtered those kinds out.
+pub fn delivered_path(events: &[TraceEvent], packet: u64) -> Option<Vec<PathNode>> {
+    let life = packet_lifecycle(events, packet);
+    let src = life.iter().find(|e| {
+        matches!(
+            e.kind,
+            TraceKind::Send | TraceKind::Retransmit | TraceKind::Ack
+        )
+    })?;
+    let dst = life.iter().find(|e| e.kind == TraceKind::Deliver)?;
+    let mut path = vec![PathNode {
+        node: src.node,
+        via_detour: false,
+    }];
+    let mut via_detour = false;
+    for hop in packet_hops(&life, packet) {
+        path.push(PathNode {
+            node: hop.node,
+            via_detour,
+        });
+        via_detour = hop.detour;
+    }
+    path.push(PathNode {
+        node: dst.node,
+        via_detour,
+    });
+    Some(path)
 }
 
 /// Distinct packet ids observed for `flow`, in first-appearance order.
@@ -188,6 +233,33 @@ mod tests {
         assert_eq!(hops.len(), 2);
         assert_eq!((hops[0].node, hops[0].detour), (20, false));
         assert_eq!((hops[1].node, hops[1].detour), (21, true));
+    }
+
+    #[test]
+    fn delivered_path_flags_the_arc_into_each_node() {
+        let events = vec![
+            ev(0, 1, 9, 100, 0, TraceKind::Send),
+            ev(10, 1, 9, 20, 2, TraceKind::Detour),
+            ev(20, 1, 9, 21, 1, TraceKind::Enqueue),
+            ev(30, 1, 9, 22, 1, TraceKind::Detour),
+            ev(50, 1, 9, 101, 0, TraceKind::Deliver),
+            // Packet 2 is still in flight: no path yet.
+            ev(5, 2, 9, 100, 0, TraceKind::Send),
+        ];
+        let path = delivered_path(&events, 1).expect("delivered");
+        let got: Vec<(u32, bool)> = path.iter().map(|n| (n.node, n.via_detour)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (100, false),
+                (20, false),
+                (21, true),
+                (22, false),
+                (101, true)
+            ]
+        );
+        assert_eq!(delivered_path(&events, 2), None);
+        assert_eq!(delivered_path(&events, 3), None);
     }
 
     #[test]

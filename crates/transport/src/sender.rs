@@ -356,11 +356,14 @@ impl TcpSender {
         pkts
     }
 
-    /// [`TcpSender::on_rto`] with trace emission: a genuine (non-stale)
-    /// firing is reported as one flow-level `Timeout` event before the
-    /// retransmitted segments are returned. `node` is the sending host's
-    /// topology node id; `qlen` carries the retransmission count.
-    pub fn on_rto_traced<S: TraceSink>(
+    /// Handles a retransmission-timer firing. `gen` must match the
+    /// generation returned by [`TcpSender::timer`] when the event was
+    /// scheduled; stale firings are ignored.
+    ///
+    /// A genuine firing is reported to `sink` as one flow-level `Timeout`
+    /// event; `node` is the sending host's topology node id and `qlen`
+    /// carries the retransmission count.
+    pub fn on_rto<S: TraceSink>(
         &mut self,
         gen: u64,
         now: SimTime,
@@ -368,27 +371,6 @@ impl TcpSender {
         node: u32,
         sink: &mut S,
     ) -> Vec<Packet> {
-        let timeouts_before = self.counters.timeouts;
-        let pkts = self.on_rto(gen, now, ids);
-        if self.counters.timeouts > timeouts_before && sink.wants(TraceKind::Timeout) {
-            sink.record(TraceEvent {
-                t_ns: now.as_nanos(),
-                packet: 0,
-                flow: self.flow.0,
-                node,
-                port: 0,
-                qlen: u16::try_from(pkts.len()).unwrap_or(u16::MAX),
-                detours: 0,
-                kind: TraceKind::Timeout,
-            });
-        }
-        pkts
-    }
-
-    /// Handles a retransmission-timer firing. `gen` must match the
-    /// generation returned by [`TcpSender::timer`] when the event was
-    /// scheduled; stale firings are ignored.
-    pub fn on_rto(&mut self, gen: u64, now: SimTime, ids: &mut IdGen) -> Vec<Packet> {
         if gen != self.timer_gen || self.timer_deadline.is_none() || self.completed.is_some() {
             return Vec::new();
         }
@@ -428,6 +410,18 @@ impl TcpSender {
             self.pump_retransmit(now, ids)
         };
         self.arm_timer(now);
+        if sink.wants(TraceKind::Timeout) {
+            sink.record(TraceEvent {
+                t_ns: now.as_nanos(),
+                packet: 0,
+                flow: self.flow.0,
+                node,
+                port: 0,
+                qlen: u16::try_from(pkts.len()).unwrap_or(u16::MAX),
+                detours: 0,
+                kind: TraceKind::Timeout,
+            });
+        }
         pkts
     }
 
@@ -572,6 +566,7 @@ impl TcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dibs_trace::NullSink;
 
     fn sender(size: u64) -> (TcpSender, IdGen) {
         (
@@ -693,7 +688,7 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         let (deadline, gen) = s.timer().unwrap();
         assert_eq!(deadline, SimTime::ZERO + SimDuration::from_millis(10));
-        let pkts = s.on_rto(gen, deadline, &mut ids);
+        let pkts = s.on_rto(gen, deadline, &mut ids, 0, &mut NullSink);
         assert_eq!(s.counters().timeouts, 1);
         assert_eq!(s.cwnd(), 1460.0);
         assert_eq!(pkts.len(), 1, "one segment at cwnd = 1 MSS");
@@ -711,7 +706,7 @@ mod tests {
         let (_, gen) = s.timer().unwrap();
         // An ack re-arms the timer, bumping the generation.
         s.on_ack(1460, false, SimTime::from_micros(100), &mut ids);
-        let pkts = s.on_rto(gen, SimTime::from_millis(10), &mut ids);
+        let pkts = s.on_rto(gen, SimTime::from_millis(10), &mut ids, 0, &mut NullSink);
         assert!(pkts.is_empty());
         assert_eq!(s.counters().timeouts, 0);
     }
@@ -785,7 +780,7 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         let (d1, g1) = s.timer().unwrap();
         assert_eq!(d1, SimTime::ZERO + SimDuration::from_micros(350));
-        s.on_rto(g1, d1, &mut ids);
+        s.on_rto(g1, d1, &mut ids, 0, &mut NullSink);
         let (d2, _) = s.timer().unwrap();
         // No backoff: still exactly 350 us later.
         assert_eq!(d2, d1 + SimDuration::from_micros(350));
@@ -810,7 +805,7 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         let (deadline, gen) = s.timer().unwrap();
         // Spurious timeout at 10 ms; no samples yet.
-        s.on_rto(gen, deadline, &mut ids);
+        s.on_rto(gen, deadline, &mut ids, 0, &mut NullSink);
         // The original ack arrives late, echoing the original send time
         // (t=0): the sample must be taken despite the retransmission
         // (Karn's rule would have discarded it).
@@ -826,7 +821,7 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         let cwnd_before = s.cwnd();
         let (deadline, gen) = s.timer().unwrap();
-        s.on_rto(gen, deadline, &mut ids);
+        s.on_rto(gen, deadline, &mut ids, 0, &mut NullSink);
         assert_eq!(s.cwnd(), 1460.0, "window collapsed by the timeout");
         // Ack echoing a pre-timeout send time proves the timeout spurious.
         s.on_ack_ts(
@@ -849,7 +844,7 @@ mod tests {
         let (mut s, mut ids) = sender(10_000_000);
         s.start(SimTime::ZERO, &mut ids);
         let (deadline, gen) = s.timer().unwrap();
-        s.on_rto(gen, deadline, &mut ids);
+        s.on_rto(gen, deadline, &mut ids, 0, &mut NullSink);
         // Ack echoing the *retransmission's* send time (>= timeout instant):
         // the loss was real, so the collapse stands.
         s.on_ack_ts(
@@ -875,12 +870,12 @@ mod tests {
         let mut ids = IdGen::new();
         s.start(SimTime::ZERO, &mut ids);
         let (d, g) = s.timer().unwrap();
-        let pkts = s.on_rto(g, d, &mut ids);
+        let pkts = s.on_rto(g, d, &mut ids, 0, &mut NullSink);
         assert_eq!(pkts.len(), 1, "probe mode sends exactly one segment");
         assert_eq!(pkts[0].seq, 0);
         // Repeated timeouts keep probing without window inflation.
         let (d2, g2) = s.timer().unwrap();
-        let pkts2 = s.on_rto(g2, d2, &mut ids);
+        let pkts2 = s.on_rto(g2, d2, &mut ids, 0, &mut NullSink);
         assert_eq!(pkts2.len(), 1);
     }
 
@@ -929,18 +924,18 @@ mod tests {
     }
 
     #[test]
-    fn on_rto_traced_emits_only_for_genuine_firings() {
+    fn on_rto_traces_only_genuine_firings() {
         use dibs_trace::{KindMask, TraceBuffer};
         let (mut s, mut ids) = sender(1_000_000);
         s.start(SimTime::ZERO, &mut ids);
         let (deadline, gen) = s.timer().unwrap();
         let mut buf = TraceBuffer::new(KindMask::ALL);
         // A stale generation is ignored and must not be traced.
-        let stale = s.on_rto_traced(gen + 99, deadline, &mut ids, 5, &mut buf);
+        let stale = s.on_rto(gen + 99, deadline, &mut ids, 5, &mut buf);
         assert!(stale.is_empty());
         assert!(buf.events().is_empty());
         // The genuine firing produces exactly one flow-level event.
-        let pkts = s.on_rto_traced(gen, deadline, &mut ids, 5, &mut buf);
+        let pkts = s.on_rto(gen, deadline, &mut ids, 5, &mut buf);
         assert!(!pkts.is_empty());
         assert_eq!(buf.events().len(), 1);
         let ev = buf.events()[0];

@@ -60,6 +60,12 @@ if [[ $quick -eq 0 ]]; then
             python3 -m json.tool "$chrome" >/dev/null
         fi
         echo "    digest identical traced vs untraced; Chrome JSON valid"
+        # Both exit non-zero when the trace yields no detoured delivery.
+        echo "==> Fig 1 from the trace (fig01_detour_path, detour_trace example)"
+        DIBS_RESULTS_DIR="$tmp" cargo run -q -p dibs-bench --release --offline \
+            --bin fig01_detour_path >/dev/null
+        cargo run -q --release --offline --example detour_trace >/dev/null
+        echo "    most-detoured packet rebuilt from dibs-trace"
     else
         echo "==> cargo test --workspace (fast tier; --full adds tier-2)"
         cargo test --workspace --offline -q

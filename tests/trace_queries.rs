@@ -4,12 +4,21 @@
 
 use dibs::presets::single_incast_sim;
 use dibs::{RunDescriptor, SimConfig, TraceSpec, Tracer};
-use dibs_net::builders::FatTreeParams;
+use dibs_net::builders::{fat_tree, FatTreeParams};
+use dibs_net::ids::NodeId;
 use dibs_switch::BufferConfig;
 use dibs_trace::{
     detour_loop_packets, flow_packets, is_chrome_trace, packet_hops, packet_lifecycle,
     per_flow_hops, TraceKind, TraceReport,
 };
+
+/// The k=4 fat-tree the traced incast runs on.
+fn params() -> FatTreeParams {
+    FatTreeParams {
+        k: 4,
+        ..FatTreeParams::paper_default()
+    }
+}
 
 /// The golden buffer-sweep point: 25-packet buffers force heavy
 /// detouring, so the trace is guaranteed to contain detoured packets.
@@ -18,11 +27,7 @@ fn traced_incast() -> TraceReport {
     let mut cfg = SimConfig::dctcp_dibs().with_seed(d.seed(0xD1B5_2014));
     cfg.switch.buffer = BufferConfig::StaticPerPort { packets: 25 };
     cfg.switch.ecn_threshold = Some(20);
-    let params = FatTreeParams {
-        k: 4,
-        ..FatTreeParams::paper_default()
-    };
-    let mut sim = single_incast_sim(params, cfg, 8, 20_000);
+    let mut sim = single_incast_sim(params(), cfg, 8, 20_000);
     let spec: TraceSpec = "all".parse().expect("valid spec");
     sim.set_tracer(Tracer::from_spec(&spec));
     sim.run().trace.expect("tracer was installed")
@@ -87,6 +92,23 @@ fn packet_lifecycle_reconstructs_a_detoured_packet() {
     assert!(hops.len() >= 2, "a detoured packet crosses several queues");
     assert!(hops.iter().any(|h| h.detour), "detour hop must be marked");
     assert!(hops.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+
+    // The hops are connected: each hop's output port leads to the next
+    // hop's switch, and the last one to the delivering host.
+    let topo = fat_tree(params());
+    let deliver = life.last().expect("nonempty lifecycle");
+    let next_nodes = hops.iter().skip(1).map(|h| h.node).chain([deliver.node]);
+    for (hop, next) in hops.iter().zip(next_nodes) {
+        let peer = topo.port(NodeId(hop.node), usize::from(hop.port)).peer;
+        assert_eq!(
+            peer,
+            NodeId(next),
+            "hop {hop:?} does not lead to node {next}"
+        );
+    }
+    // Every detour decision shows up as exactly one detour hop.
+    let detour_hops = hops.iter().filter(|h| h.detour).count();
+    assert_eq!(detour_hops, usize::from(deliver.detours));
 
     // Flow-level views agree with the packet-level ones.
     let flow = life[0].flow;
