@@ -1,6 +1,7 @@
-//! Runs every figure/table binary, writing all records under `results/`.
-//! Binaries run in parallel across `--jobs N` workers (default: all cores);
-//! each child's output is captured and printed in the fixed table order
+//! Runs every figure binary (`fig01`–`fig06`) and then `sweep <id>` for
+//! every row of the sweep table, writing all records under `results/`.
+//! Children run in parallel across `--jobs N` workers (default: all
+//! cores); each child's output is captured and printed in the fixed order
 //! below, so the transcript is identical regardless of scheduling. Use
 //! `--quick` for a fast smoke pass.
 //!
@@ -22,34 +23,19 @@
 //! `results/trace_<id>.json` next to their record. Tracing never changes
 //! the records themselves (see DESIGN.md §2d).
 
+use dibs_bench::sweep;
 use dibs_harness::Executor;
 use std::process::Command;
 use std::time::Instant;
 
-const BINS: &[&str] = &[
+/// The figures that are binaries of their own; the sweeps follow them.
+const FIGURES: &[&str] = &[
     "fig01_detour_path",
     "fig02_detour_timeline",
     "fig03_hotspot_sparsity",
     "fig04_hotlinks",
     "fig05_neighbor_buffers",
     "fig06_testbed_incast",
-    "fig07_buffer_sweep",
-    "fig08_bg_interarrival",
-    "fig09_query_rate",
-    "fig10_response_size",
-    "fig11_incast_degree",
-    "fig12_buffer_size",
-    "fig13_ttl",
-    "fig14_extreme_qps",
-    "fig15_large_response",
-    "fig16_pfabric",
-    "tab_shared_buffer",
-    "tab_oversubscription",
-    "tab_fairness",
-    "abl_detour_policies",
-    "abl_topologies",
-    "abl_flow_control",
-    "abl_ecmp",
 ];
 
 /// Last `throughput:` summary line a child printed (emitted by
@@ -62,8 +48,9 @@ fn throughput_line(stdout: &str) -> Option<String> {
         .map(str::to_owned)
 }
 
-/// Outcome of one child binary, replayed in table order after the sweep.
+/// Outcome of one child, replayed in table order after the sweep.
 struct BinRun {
+    /// The figure binary's name or the sweep id.
     bin: &'static str,
     stdout: Vec<u8>,
     stderr: Vec<u8>,
@@ -72,9 +59,10 @@ struct BinRun {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = dibs_harness::take_jobs_flag(&mut args)
-        .or_else(dibs_harness::env_jobs)
-        .unwrap_or_else(dibs_harness::default_jobs);
+    let jobs = dibs_harness::jobs(&mut args, |key| std::env::var(key).ok()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let exe_dir = std::env::current_exe()
         .expect("own path")
         .parent()
@@ -82,11 +70,16 @@ fn main() {
         .to_path_buf();
     let total = Instant::now();
 
-    let runs = Executor::new(jobs).map(BINS.to_vec(), |bin| {
-        let path = exe_dir.join(bin);
+    // (label, binary, leading argument)
+    let children: Vec<(&str, &str, Option<&str>)> = FIGURES
+        .iter()
+        .map(|&bin| (bin, bin, None))
+        .chain(sweep::ids().into_iter().map(|id| (id, "sweep", Some(id))))
+        .collect();
+    let runs = Executor::new(jobs).map(children, |(bin, exe, id)| {
         let started = Instant::now();
-        let mut cmd = Command::new(&path);
-        cmd.args(&args);
+        let mut cmd = Command::new(exe_dir.join(exe));
+        cmd.args(id).args(&args);
         if jobs > 1 {
             // Figure binaries already run one-per-worker here; nested
             // parallelism would oversubscribe the host.

@@ -1,11 +1,13 @@
 #![warn(missing_docs)]
 
-//! Shared harness for the figure/table binaries.
+//! Shared harness for the figure binaries and the sweep table.
 //!
-//! Every binary follows the same pattern: build the experiment's parameter
-//! sweep, run the simulations (in parallel when cores allow), assemble an
-//! [`ExperimentRecord`], print it as an aligned table, and persist it as
-//! JSON under `results/`.
+//! `fig01`–`fig06` are binaries of their own; every parameter sweep
+//! (Figs 7–16, §5.5–§5.6, and the §6/§7 ablations) is a row of the
+//! [`sweep`] table, run as `sweep <id>`. Each one runs its simulations
+//! (in parallel when cores allow), assembles an [`ExperimentRecord`],
+//! prints it as an aligned table, and persists it as JSON under
+//! `results/`.
 //!
 //! All binaries accept `--quick` (shorter traffic windows, for smoke runs)
 //! and `--full` (paper-length windows); the default sits in between so the
@@ -13,13 +15,13 @@
 //! be set via the `DIBS_SCALE` environment variable (`quick`, `default`,
 //! `full`).
 
+pub mod sweep;
 pub mod timing;
 
-use dibs::presets::MixedWorkload;
 use dibs::RunResults;
 use dibs_engine::time::SimDuration;
 use dibs_harness::Executor;
-use dibs_stats::{ExperimentRecord, SeriesPoint};
+use dibs_stats::ExperimentRecord;
 use std::path::PathBuf;
 
 /// Master seed used by the sweep binaries unless `--seed` / `DIBS_SEED`
@@ -97,7 +99,13 @@ impl Harness {
     /// did not ask for.
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match Harness::parse(&args, |key| std::env::var(key).ok()) {
+        Harness::from_args(&args)
+    }
+
+    /// [`Harness::from_env`] over `args` instead of argv, for binaries
+    /// that take a positional argument first (`sweep <id>`).
+    pub fn from_args(args: &[String]) -> Self {
+        match Harness::parse(args, |key| std::env::var(key).ok()) {
             Ok(h) => {
                 timing::meter_start();
                 h
@@ -115,19 +123,13 @@ impl Harness {
     /// variables that `env` looks up (argv wins; an empty variable counts
     /// as unset). Reads no process state.
     ///
-    /// A malformed seed, scale, or trace spec, or a flag missing its
-    /// value, is an error. Unknown arguments only warn, because
+    /// A malformed seed, scale, worker count, or trace spec, or a flag
+    /// missing its value, is an error. Unknown arguments only warn, because
     /// `repro_all` forwards its own argv to every binary.
     pub fn parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Harness, String> {
         let env = |key: &str| env(key).filter(|v| !v.trim().is_empty());
         let mut args = args.to_vec();
-        let jobs = dibs_harness::take_jobs_flag(&mut args)
-            .or_else(|| {
-                env(dibs_harness::JOBS_ENV)
-                    .and_then(|v| v.trim().parse::<usize>().ok())
-                    .filter(|&j| j >= 1)
-            })
-            .unwrap_or_else(dibs_harness::default_jobs);
+        let jobs = dibs_harness::jobs(&mut args, env)?;
 
         let parse_scale = |v: &str| match v {
             "quick" => Ok(Scale::Quick),
@@ -225,15 +227,6 @@ impl Harness {
         Executor::new(self.jobs)
     }
 
-    /// The mixed-workload defaults at this scale (Table 2 bold values).
-    pub fn workload(&self) -> MixedWorkload {
-        MixedWorkload {
-            duration: self.scale.duration(),
-            drain: self.scale.drain(),
-            ..MixedWorkload::paper_default()
-        }
-    }
-
     /// Prints the record and writes `results/<id>.json`.
     pub fn finish(&self, record: &ExperimentRecord) {
         print!("{}", record.to_table());
@@ -261,53 +254,9 @@ impl Harness {
     }
 }
 
-/// Runs `f` over `items` through the deterministic sweep executor
-/// ([`dibs_harness::Executor::from_env`]); preserves input order.
-///
-/// Prefer [`Harness::executor`] in new code so `--jobs` is honored; this
-/// free function exists for binaries that have no `Harness` in scope and
-/// obeys `DIBS_JOBS` only.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    Executor::from_env().map(items, f)
-}
-
-/// Extracts the standard pair of paper metrics from a finished run:
-/// `(qct_p99_ms, bg_short_fct_p99_ms)`.
-pub fn headline_metrics(results: &mut RunResults) -> (f64, f64) {
-    timing::note_run(results);
-    let qct = results.qct_p99_ms().unwrap_or(f64::NAN);
-    let fct = results.bg_fct_p99_ms().unwrap_or(f64::NAN);
-    (qct, fct)
-}
-
-/// Builds a `SeriesPoint` from baseline and DIBS runs of the same workload.
-pub fn baseline_vs_dibs_point(x: f64, base: &mut RunResults, dibs: &mut RunResults) -> SeriesPoint {
-    let (qb, fb) = headline_metrics(base);
-    let (qd, fd) = headline_metrics(dibs);
-    SeriesPoint::at(x)
-        .with("qct_p99_ms_dctcp", qb)
-        .with("qct_p99_ms_dibs", qd)
-        .with("bg_fct_p99_ms_dctcp", fb)
-        .with("bg_fct_p99_ms_dibs", fd)
-        .with("drops_dctcp", base.counters.total_drops() as f64)
-        .with("drops_dibs", dibs.counters.total_drops() as f64)
-        .with("detoured_frac_dibs", dibs.counters.detoured_fraction())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect::<Vec<i32>>(), |x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
 
     fn parse(args: &[&str], env: &[(&str, &str)]) -> Result<Harness, String> {
         let args: Vec<String> = args.iter().map(|a| (*a).to_string()).collect();
@@ -339,6 +288,15 @@ mod tests {
     fn malformed_seed_env_is_an_error() {
         let err = parse(&[], &[("DIBS_SEED", "12ab")]).unwrap_err();
         assert!(err.contains("DIBS_SEED `12ab`"), "{err}");
+    }
+
+    #[test]
+    fn malformed_jobs_is_an_error() {
+        let err = parse(&["--jobs", "0"], &[]).unwrap_err();
+        assert!(err.contains("--jobs `0`"), "{err}");
+        let err = parse(&[], &[("DIBS_JOBS", "two")]).unwrap_err();
+        assert!(err.contains("DIBS_JOBS `two`"), "{err}");
+        assert_eq!(parse(&["--jobs=3"], &[("DIBS_JOBS", "")]).unwrap().jobs, 3);
     }
 
     #[test]

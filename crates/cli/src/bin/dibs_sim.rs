@@ -71,9 +71,13 @@ fn main() -> ExitCode {
     let mut paths: Vec<String> = Vec::new();
 
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = dibs_harness::take_jobs_flag(&mut raw)
-        .or_else(dibs_harness::env_jobs)
-        .unwrap_or_else(dibs_harness::default_jobs);
+    let jobs = match dibs_harness::jobs(&mut raw, |key| std::env::var(key).ok()) {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     let mut args = raw.into_iter();
     while let Some(arg) = args.next() {

@@ -40,8 +40,8 @@ pub mod simtest;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// Environment variable consulted by [`Executor::from_env`] for the worker
-/// count. Sweep binaries also accept `--jobs N`, which takes precedence.
+/// Environment variable consulted by [`jobs`] for the worker count. A
+/// `--jobs N` flag takes precedence.
 pub const JOBS_ENV: &str = "DIBS_JOBS";
 
 /// A fixed-width thread pool that maps a function over a batch of
@@ -70,10 +70,18 @@ impl Executor {
         Executor::new(1)
     }
 
-    /// Worker count from the environment: `DIBS_JOBS` if set and parseable,
-    /// otherwise [`std::thread::available_parallelism`].
+    /// Worker count from the environment: `DIBS_JOBS` if set, otherwise
+    /// [`std::thread::available_parallelism`].
+    ///
+    /// # Panics
+    ///
+    /// If `DIBS_JOBS` is set but not a positive integer. Binaries parse
+    /// their worker count with [`jobs`] and report the error instead.
     pub fn from_env() -> Self {
-        Executor::new(env_jobs().unwrap_or_else(default_jobs))
+        match jobs(&mut Vec::new(), |key| std::env::var(key).ok()) {
+            Ok(n) => Executor::new(n),
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// The number of worker threads `map` will use.
@@ -153,51 +161,46 @@ impl Executor {
     }
 }
 
-impl Default for Executor {
-    fn default() -> Self {
-        Executor::from_env()
+/// The worker count: a `--jobs N` / `--jobs=N` flag in `args` (removed
+/// from it), else the `DIBS_JOBS` variable that `env` looks up (empty
+/// counts as unset), else the host's available parallelism.
+///
+/// A flag without a value, or a value that is not a positive integer, is
+/// an error naming the bad input rather than a silent fallback.
+pub fn jobs(args: &mut Vec<String>, env: impl Fn(&str) -> Option<String>) -> Result<usize, String> {
+    let parse = |what: &str, v: &str| match v.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("{what} `{v}` is not a positive integer")),
+    };
+    if let Some(flag) = take_jobs_flag(args)? {
+        return parse("--jobs", &flag);
+    }
+    match env(JOBS_ENV).filter(|v| !v.trim().is_empty()) {
+        Some(v) => parse(JOBS_ENV, &v),
+        None => Ok(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)),
     }
 }
 
-/// Worker count requested via the `DIBS_JOBS` environment variable, if set
-/// to a positive integer.
-pub fn env_jobs() -> Option<usize> {
-    std::env::var(JOBS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&j| j >= 1)
-}
-
-/// The fallback worker count: the host's available parallelism, or 1 if
-/// that cannot be determined.
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Parse a `--jobs N` / `--jobs=N` flag out of an argument list, removing
-/// the consumed tokens. Returns `None` (leaving `args` untouched apart from
-/// any well-formed flag) when the flag is absent or malformed.
-pub fn take_jobs_flag(args: &mut Vec<String>) -> Option<usize> {
-    let mut jobs = None;
+/// Removes every `--jobs N` / `--jobs=N` flag from `args` and returns the
+/// last one's raw value; `--jobs` as the final argument is an error.
+fn take_jobs_flag(args: &mut Vec<String>) -> Result<Option<String>, String> {
+    let mut value = None;
     let mut i = 0;
     while i < args.len() {
-        if args[i] == "--jobs" && i + 1 < args.len() {
-            if let Ok(j) = args[i + 1].parse::<usize>() {
-                jobs = Some(j.max(1));
+        if args[i] == "--jobs" {
+            if i + 1 == args.len() {
+                return Err("--jobs needs a value".to_string());
             }
-            args.drain(i..=i + 1);
+            value = Some(args.remove(i + 1));
+            args.remove(i);
         } else if let Some(v) = args[i].strip_prefix("--jobs=") {
-            if let Ok(j) = v.parse::<usize>() {
-                jobs = Some(j.max(1));
-            }
+            value = Some(v.to_string());
             args.remove(i);
         } else {
             i += 1;
         }
     }
-    jobs
+    Ok(value)
 }
 
 fn pop_own<T>(queue: &Mutex<VecDeque<(usize, T)>>) -> Option<(usize, T)> {
@@ -276,19 +279,36 @@ mod tests {
         assert_eq!(e.map(vec![1u32, 2], |x| x), vec![1, 2]);
     }
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| (*a).to_string()).collect()
+    }
+
     #[test]
     fn take_jobs_flag_consumes_both_forms() {
-        let mut args = vec!["--quick".to_string(), "--jobs".to_string(), "4".to_string()];
-        assert_eq!(take_jobs_flag(&mut args), Some(4));
-        assert_eq!(args, vec!["--quick".to_string()]);
+        let no_env = |_: &str| None;
+        let mut a = args(&["--quick", "--jobs", "4"]);
+        assert_eq!(jobs(&mut a, no_env), Ok(4));
+        assert_eq!(a, args(&["--quick"]));
 
-        let mut args = vec!["--jobs=2".to_string(), "x".to_string()];
-        assert_eq!(take_jobs_flag(&mut args), Some(2));
-        assert_eq!(args, vec!["x".to_string()]);
+        let mut a = args(&["--jobs=2", "x"]);
+        assert_eq!(jobs(&mut a, no_env), Ok(2));
+        assert_eq!(a, args(&["x"]));
 
-        let mut args = vec!["--full".to_string()];
-        assert_eq!(take_jobs_flag(&mut args), None);
-        assert_eq!(args, vec!["--full".to_string()]);
+        // Absent flag: the environment, then the host's parallelism.
+        let mut a = args(&["--full"]);
+        assert_eq!(jobs(&mut a, |_| Some("3".to_string())), Ok(3));
+        assert!(jobs(&mut a, no_env).unwrap() >= 1);
+        assert_eq!(a, args(&["--full"]));
+
+        // Malformed inputs are errors naming the bad value.
+        let err = jobs(&mut args(&["--jobs", "x"]), no_env).unwrap_err();
+        assert!(err.contains("--jobs `x`"), "{err}");
+        let err = jobs(&mut args(&["--quick", "--jobs"]), no_env).unwrap_err();
+        assert!(err.contains("--jobs needs a value"), "{err}");
+        let err = jobs(&mut args(&["--jobs=0"]), no_env).unwrap_err();
+        assert!(err.contains("--jobs `0`"), "{err}");
+        let err = jobs(&mut Vec::new(), |_| Some("abc".to_string())).unwrap_err();
+        assert!(err.contains("DIBS_JOBS `abc`"), "{err}");
     }
 
     #[test]

@@ -66,6 +66,20 @@ if [[ $quick -eq 0 ]]; then
             --bin fig01_detour_path >/dev/null
         cargo run -q --release --offline --example detour_trace >/dev/null
         echo "    most-detoured packet rebuilt from dibs-trace"
+        echo "==> sweep table (fig09 at --jobs 1 and 2 write identical records)"
+        for j in 1 2; do
+            DIBS_RESULTS_DIR="$tmp/sweep_j$j" cargo run -q -p dibs-bench --release \
+                --offline --bin sweep -- fig09_query_rate --quick --jobs "$j" >/dev/null
+        done
+        cmp "$tmp/sweep_j1/fig09_query_rate.json" "$tmp/sweep_j2/fig09_query_rate.json"
+        status=0
+        cargo run -q -p dibs-bench --release --offline --bin sweep -- no_such_id \
+            2>/dev/null || status=$?
+        if [[ $status -ne 2 ]]; then
+            echo "FAIL: sweep no_such_id exited $status, expected 2" >&2
+            exit 1
+        fi
+        echo "    --jobs 1/2 records identical; unknown id exits 2"
     else
         echo "==> cargo test --workspace (fast tier; --full adds tier-2)"
         cargo test --workspace --offline -q
