@@ -35,7 +35,6 @@ fn main() {
         };
         let mut cfg = SimConfig::dctcp_dibs();
         cfg.sample_interval = Some(SimDuration::from_millis(1));
-        cfg.hot_link_threshold = 0.9;
         let results = mixed_workload_sim(FatTreeParams::paper_default(), cfg, wl).run();
         (label, results.hot_fraction_samples)
     });

@@ -25,6 +25,10 @@
 //! Independent runs (each scenario file × scheme) fan out across the
 //! deterministic sweep executor; reports are printed in argument order, so
 //! output is identical for every `--jobs` value.
+//!
+//! Exit status: 0 on success, 2 on a malformed command line (unknown
+//! option, missing or malformed flag value, bad `--trace`/`--fault` spec,
+//! no scenario), and 1 when a scenario cannot be read, parsed, or built.
 
 use dibs::{FaultSpec, RunDigest, TraceReport, TraceSpec, Tracer};
 use dibs_cli::{Report, Scenario, Scheme};
@@ -33,6 +37,12 @@ use std::process::ExitCode;
 
 const USAGE: &str = "Usage: dibs-sim [--json] [--compare] [--seed N] [--jobs N] \
                      [--trace SPEC] [--fault SPEC] [--digest] <scenario.json>...";
+
+/// Prints `msg` and the usage line; a malformed command line exits 2.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("{msg}\n{USAGE}");
+    ExitCode::from(2)
+}
 
 /// Renders, validates, and writes one run's Chrome trace under `results/`.
 fn export_chrome_trace(trace: &TraceReport, path: &str, scheme: Scheme) {
@@ -73,10 +83,7 @@ fn main() -> ExitCode {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     let jobs = match dibs_harness::jobs(&mut raw, |key| std::env::var(key).ok()) {
         Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&format!("error: {e}")),
     };
 
     let mut args = raw.into_iter();
@@ -87,39 +94,30 @@ fn main() -> ExitCode {
             "--digest" => digest = true,
             "--seed" => match args.next().map(|s| s.parse::<u64>()) {
                 Some(Ok(s)) => seed = Some(s),
-                _ => {
-                    eprintln!("--seed needs a number\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
+                _ => return usage_error("--seed needs a number"),
             },
             "--trace" => match args.next() {
                 Some(s) => trace_arg = Some(s),
                 None => {
-                    eprintln!("--trace needs a spec (off|all|kinds|flight[:CAP][:kinds])\n{USAGE}");
-                    return ExitCode::FAILURE;
+                    return usage_error("--trace needs a spec (off|all|kinds|flight[:CAP][:kinds])")
                 }
             },
             "--fault" => match args.next() {
                 Some(s) => fault_arg = Some(s),
-                None => {
-                    eprintln!("--fault needs a spec (off or `;`-separated clauses)\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
+                None => return usage_error("--fault needs a spec (off or `;`-separated clauses)"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other if other.starts_with('-') => {
-                eprintln!("unknown option `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
+                return usage_error(&format!("unknown option `{other}`"));
             }
             other => paths.push(other.to_string()),
         }
     }
     if paths.is_empty() {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
+        return usage_error("no scenario file given");
     }
     let many_files = paths.len() > 1;
 
@@ -129,10 +127,7 @@ fn main() -> ExitCode {
         match raw_spec.as_deref().map(str::parse::<TraceSpec>) {
             None => TraceSpec::off(),
             Some(Ok(spec)) => spec,
-            Some(Err(e)) => {
-                eprintln!("bad trace spec: {e}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            Some(Err(e)) => return usage_error(&format!("bad trace spec: {e}")),
         }
     };
 
@@ -144,10 +139,7 @@ fn main() -> ExitCode {
         match raw_spec.as_deref().map(str::parse::<FaultSpec>) {
             None => FaultSpec::off(),
             Some(Ok(spec)) => spec,
-            Some(Err(e)) => {
-                eprintln!("bad fault spec: {e}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            Some(Err(e)) => return usage_error(&format!("bad fault spec: {e}")),
         }
     };
 

@@ -48,8 +48,6 @@ pub struct Scenario {
     pub drain_ms: u64,
     /// Traffic to offer.
     pub workloads: Vec<WorkloadSpec>,
-    /// Link-utilization sampling interval in milliseconds (0 = off).
-    pub sample_interval_ms: u64,
 }
 
 impl FromJson for Scenario {
@@ -63,7 +61,6 @@ impl FromJson for Scenario {
             duration_ms: r.optional("duration_ms", 400)?,
             drain_ms: r.optional("drain_ms", 600)?,
             workloads: r.required("workloads")?,
-            sample_interval_ms: r.optional("sample_interval_ms", 0)?,
         };
         r.deny_unknown()?;
         Ok(s)
@@ -159,10 +156,54 @@ impl FromJson for TopologySpec {
 }
 
 impl TopologySpec {
+    /// Checks the builder's preconditions, so a bad shape is a scenario
+    /// error instead of a panic inside the builder.
+    fn check(&self) -> Result<(), ScenarioError> {
+        let problem = match *self {
+            TopologySpec::FatTree { k, .. } if k < 2 || !k.is_multiple_of(2) => {
+                format!("fat_tree k must be even and at least 2, got {k}")
+            }
+            TopologySpec::FatTree {
+                oversubscription: 0,
+                ..
+            } => "fat_tree oversubscription must be at least 1".into(),
+            TopologySpec::Jellyfish {
+                switches, degree, ..
+            } if degree >= switches => {
+                format!("jellyfish degree {degree} must be below switches {switches}")
+            }
+            TopologySpec::Jellyfish {
+                switches, degree, ..
+            } if switches % 2 == 1 && degree % 2 == 1 => {
+                format!("jellyfish switches*degree must be even, got {switches}*{degree}")
+            }
+            TopologySpec::Hyperx { ref shape, .. } if shape.is_empty() => {
+                "hyperx shape needs at least one dimension".into()
+            }
+            TopologySpec::Hyperx { ref shape, .. } if shape.contains(&0) => {
+                format!("hyperx dimensions must be at least 1, got {shape:?}")
+            }
+            TopologySpec::Linear { switches: 0, .. } => "linear needs at least one switch".into(),
+            TopologySpec::Dumbbell {
+                bottleneck_gbps: 0, ..
+            } => "dumbbell bottleneck_gbps must be at least 1".into(),
+            _ => return Ok(()),
+        };
+        Err(ScenarioError(problem))
+    }
+
     /// Builds the topology (deterministic given `seed` for random families).
-    pub fn build(&self, seed: u64) -> Topology {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError`] when the shape violates the builder's
+    /// preconditions (an odd fat-tree `k`, a jellyfish degree not below the
+    /// switch count, an empty hyperx shape, a linear chain of no switches,
+    /// a zero-rate link).
+    pub fn build(&self, seed: u64) -> Result<Topology, ScenarioError> {
+        self.check()?;
         let gbit = LinkSpec::gbit(1);
-        match *self {
+        Ok(match *self {
             TopologySpec::FatTree {
                 k,
                 oversubscription,
@@ -215,7 +256,7 @@ impl TopologySpec {
                     delay: gbit.delay,
                 },
             ),
-        }
+        })
     }
 }
 
@@ -403,9 +444,6 @@ impl Scenario {
         };
         cfg.seed = self.seed;
         cfg.horizon = self.horizon();
-        if self.sample_interval_ms > 0 {
-            cfg.sample_interval = Some(SimDuration::from_millis(self.sample_interval_ms));
-        }
         let o = &self.overrides;
         if let Some(pkts) = o.buffer_packets {
             cfg.switch.buffer = if pkts == 0 {
@@ -468,7 +506,8 @@ impl Scenario {
 
     /// Builds the fully wired simulation.
     pub fn build(&self) -> Result<dibs::Simulation, ScenarioError> {
-        let topo = self.topology.build(self.seed);
+        let topo = self.topology.build(self.seed)?;
+        topo.validate().map_err(ScenarioError)?;
         let hosts = topo.num_hosts();
         if hosts < 2 {
             return Err(ScenarioError("topology needs at least 2 hosts".into()));
@@ -639,9 +678,61 @@ mod tests {
             (r#"{ "type": "dumbbell", "hosts_per_side": 4 }"#, 8),
         ] {
             let spec = TopologySpec::from_json(&Json::parse(json).unwrap()).unwrap();
-            let topo = spec.build(7);
+            let topo = spec.build(7).unwrap();
             assert_eq!(topo.num_hosts(), hosts, "{json}");
             assert!(topo.validate().is_ok());
+        }
+    }
+
+    #[test]
+    fn rejects_shapes_the_builders_cannot_make() {
+        for (json, needle) in [
+            (r#"{ "type": "fat_tree", "k": 3 }"#, "even"),
+            (r#"{ "type": "fat_tree", "k": 0 }"#, "even"),
+            (
+                r#"{ "type": "fat_tree", "k": 4, "oversubscription": 0 }"#,
+                "oversubscription",
+            ),
+            (
+                r#"{ "type": "jellyfish", "switches": 4, "degree": 4, "hosts_per_switch": 1 }"#,
+                "below switches",
+            ),
+            (
+                r#"{ "type": "jellyfish", "switches": 5, "degree": 3, "hosts_per_switch": 1 }"#,
+                "even",
+            ),
+            (
+                r#"{ "type": "hyperx", "shape": [], "hosts_per_switch": 1 }"#,
+                "at least one dimension",
+            ),
+            (
+                r#"{ "type": "hyperx", "shape": [3, 0], "hosts_per_switch": 1 }"#,
+                "at least 1",
+            ),
+            (
+                r#"{ "type": "linear", "switches": 0, "hosts_per_switch": 2 }"#,
+                "at least one switch",
+            ),
+            (
+                r#"{ "type": "dumbbell", "hosts_per_side": 2, "bottleneck_gbps": 0 }"#,
+                "bottleneck_gbps",
+            ),
+        ] {
+            let spec = TopologySpec::from_json(&Json::parse(json).unwrap()).unwrap();
+            let err = spec.build(7).unwrap_err();
+            assert!(err.0.contains(needle), "{json}: {err}");
+        }
+        // The same check surfaces through a whole scenario, as does a
+        // topology the builder makes but cannot route (degree-1 jellyfish
+        // pairs switches off into islands).
+        for topology in [
+            r#"{ "type": "fat_tree", "k": 3 }"#,
+            r#"{ "type": "jellyfish", "switches": 4, "degree": 1, "hosts_per_switch": 1 }"#,
+        ] {
+            let s =
+                Scenario::from_json(&format!(r#"{{ "topology": {topology}, "workloads": [] }}"#))
+                    .unwrap();
+            assert!(s.build().is_err(), "{topology}");
         }
     }
 

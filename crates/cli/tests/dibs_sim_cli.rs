@@ -1,0 +1,73 @@
+//! `dibs-sim` rejects bad input with a message and a non-zero exit, never
+//! a panic: a malformed command line exits 2 before anything runs, and a
+//! scenario that cannot be built exits 1.
+
+use std::process::{Command, Output};
+
+fn dibs_sim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dibs-sim"))
+        .args(args)
+        .env_remove("DIBS_TRACE")
+        .env_remove("DIBS_FAULT")
+        .env_remove("DIBS_JOBS")
+        .output()
+        .expect("run the dibs-sim binary")
+}
+
+fn assert_fails(args: &[&str], code: i32, needle: &str) {
+    let out = dibs_sim(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} printed a report");
+}
+
+/// Writes a scenario file under the target directory, so no run writes
+/// into the source tree.
+fn scenario_file(name: &str, json: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, json).expect("write scenario file");
+    path.to_string_lossy().into_owned()
+}
+
+const TINY: &str = r#"{
+    "topology": { "type": "single_switch", "hosts": 3 },
+    "duration_ms": 1,
+    "drain_ms": 10,
+    "workloads": [ { "type": "flow", "src": 1, "dst": 0, "bytes": 1000 } ]
+}"#;
+
+#[test]
+fn malformed_command_lines_exit_2() {
+    let ok = scenario_file("dibs_sim_cli_tiny.json", TINY);
+    assert_fails(&["--seed", "x", &ok], 2, "--seed needs a number");
+    assert_fails(&[&ok, "--seed"], 2, "--seed needs a number");
+    assert_fails(&[&ok, "--trace"], 2, "--trace needs a spec");
+    assert_fails(&[&ok, "--fault"], 2, "--fault needs a spec");
+    assert_fails(&["--trace", "sideways", &ok], 2, "bad trace spec");
+    assert_fails(&["--fault", "drop:p=2", &ok], 2, "bad fault spec");
+    assert_fails(&["--bogus", &ok], 2, "unknown option `--bogus`");
+    assert_fails(&["--jobs", "0", &ok], 2, "--jobs");
+    assert_fails(&[], 2, "no scenario file given");
+}
+
+#[test]
+fn unbuildable_scenarios_exit_1_with_a_message() {
+    let odd = scenario_file(
+        "dibs_sim_cli_fat_tree_k3.json",
+        r#"{ "topology": { "type": "fat_tree", "k": 3 }, "workloads": [] }"#,
+    );
+    assert_fails(&[&odd], 1, "fat_tree k must be even");
+    let truncated = scenario_file("dibs_sim_cli_truncated.json", "{");
+    assert_fails(&[&truncated], 1, "dibs_sim_cli_truncated.json");
+}
+
+#[test]
+fn a_good_scenario_still_runs() {
+    let ok = scenario_file("dibs_sim_cli_ok.json", TINY);
+    let out = dibs_sim(&["--digest", &ok]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("digest "));
+}

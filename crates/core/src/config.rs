@@ -87,9 +87,6 @@ pub struct SimConfig {
     /// Interval for periodic link-utilization / buffer sampling
     /// (Figs 4, 5). `None` disables sampling.
     pub sample_interval: Option<SimDuration>,
-    /// Absolute utilization threshold for a link to count as hot (Fig 4
-    /// uses 0.9).
-    pub hot_link_threshold: f64,
     /// Long-lived-flow throughput is measured from this instant to the
     /// horizon, excluding the synchronized-start transient (§5.6).
     /// `None` measures from time zero.
@@ -117,7 +114,6 @@ impl SimConfig {
             seed: 1,
             horizon: dibs_engine::time::SimTime::from_secs(10),
             sample_interval: None,
-            hot_link_threshold: 0.9,
             throughput_warmup: None,
             ecmp: EcmpMode::FlowLevel,
             arch: SwitchArch::OutputQueued,

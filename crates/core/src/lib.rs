@@ -12,8 +12,9 @@
 //!
 //! This crate wires the substrates together into a runnable simulator:
 //!
-//! * [`Simulation`] — the event loop: topology, switches, host NICs,
-//!   transports, workloads, metrics.
+//! * [`Simulation`] — the event loop: topology, switches, one port table
+//!   and transmit path shared by hosts and switches, transports,
+//!   workloads, metrics.
 //! * [`SimConfig`] — Table 1/2 of the paper as data, with presets for
 //!   DCTCP-baseline, DCTCP+DIBS, and pFabric.
 //! * [`presets`] — the §5.2/§5.3 experiment setups used by every figure.

@@ -163,21 +163,6 @@ pub fn fairness_sim(
     sim
 }
 
-/// Convenience: same-seed DCTCP-vs-DIBS pair of simulations for a mixed
-/// workload (returned as `(baseline, dibs)` builders to run).
-pub fn baseline_and_dibs(
-    tree: FatTreeParams,
-    workload: MixedWorkload,
-    seed: u64,
-) -> (Simulation, Simulation) {
-    let base = crate::config::SimConfig::dctcp_baseline().with_seed(seed);
-    let dibs = crate::config::SimConfig::dctcp_dibs().with_seed(seed);
-    (
-        mixed_workload_sim(tree, base, workload),
-        mixed_workload_sim(tree, dibs, workload),
-    )
-}
-
 /// A flow from every host to host 0 — handy for saturation tests.
 pub fn all_to_one_flows(hosts: usize, bytes: u64) -> Vec<FlowSpec> {
     (1..hosts)
@@ -228,25 +213,6 @@ mod tests {
         assert!(flows.iter().all(|f| f.dst == HostId(0)));
         assert!(flows.iter().all(|f| f.src != f.dst));
         assert!(flows.iter().all(|f| f.class == FlowClass::Background));
-    }
-
-    #[test]
-    fn same_seed_same_workload() {
-        let wl = MixedWorkload {
-            duration: SimDuration::from_millis(50),
-            incast_degree: 8, // The K=4 tree only has 16 hosts.
-            ..MixedWorkload::paper_default()
-        };
-        let (a, b) = baseline_and_dibs(
-            FatTreeParams {
-                k: 4,
-                ..FatTreeParams::paper_default()
-            },
-            wl,
-            7,
-        );
-        // Both simulations must see the identical traffic (same seed).
-        assert_eq!(a.config().seed, b.config().seed);
     }
 
     #[test]

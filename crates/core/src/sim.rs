@@ -3,9 +3,10 @@
 //! All mutable state lives in arenas indexed by the id types of
 //! `dibs-net`; the event loop dispatches a flat [`Event`] enum. Packets in
 //! flight live in one [`PacketStore`]; events and queues carry their
-//! [`PktRef`] handles. Hosts own a single unbounded NIC queue (congestion
-//! happens at switches, as in the paper's NS-3 setup); switches run the
-//! full `dibs-switch` data path.
+//! [`PktRef`] handles. Every directed port of every node has one entry in
+//! a flat port table and one transmit path (`kick`): a host sends from its
+//! port's FIFO (congestion happens at switches, as in the paper's NS-3
+//! setup), a switch from its `dibs-switch` egress queue.
 
 use crate::audit::{AuditLedger, LedgerSnapshot};
 use crate::config::SimConfig;
@@ -27,6 +28,8 @@ use std::collections::VecDeque;
 
 /// Maximum distinct detour counts tracked in the delivery histogram.
 const DETOUR_HIST_BUCKETS: usize = 65;
+/// Utilization at which a directed link counts as hot (Fig 4).
+const HOT_LINK_THRESHOLD: f64 = 0.9;
 /// Cap on the packet-store pre-size: live packets are bounded by the
 /// buffers and windows in flight, far below a run's total packet count.
 const STORE_RESERVE_CAP: usize = 1 << 14;
@@ -72,9 +75,29 @@ enum Event {
 // timing-wheel node) small.
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
-struct HostNic {
+/// The state of one directed port of any node, at `port_offsets[node] +
+/// port` in [`Simulation::ports`] (the order of
+/// [`Topology::directed_edges`]).
+#[derive(Default)]
+struct PortState {
+    /// Packets waiting at the port outside any switch buffer: a host's
+    /// egress FIFO, or a CIOQ switch's ingress queue.
     queue: VecDeque<PktRef>,
+    /// Bytes sent since the last sample tick (Figs 4, 5).
+    tx_bytes: u64,
+    /// Switch only: buffered packets that arrived through this port (PFC
+    /// accounting).
+    ingress_count: u32,
+    /// The transmitter is serializing a frame.
     busy: bool,
+    /// The link partner has PAUSEd this port (PFC).
+    paused: bool,
+    /// Switch only: this port has PAUSEd its link partner.
+    pause_asserted: bool,
+    /// CIOQ only: the port's forwarding engine is moving a packet.
+    forwarding: bool,
+    /// The port's link is faulted down (set on both ends).
+    link_down: bool,
 }
 
 struct FlowState {
@@ -102,9 +125,6 @@ struct QueryState {
 /// bit-identical to builds without this feature.
 struct FaultState {
     plan: FaultPlan,
-    /// `link_down[node][port]` — the port's link is administratively down
-    /// (mirrored onto both endpoints of the link).
-    link_down: Vec<Vec<bool>>,
     /// `crashed[switch]` — the switch blackholes everything (permanent).
     crashed: Vec<bool>,
     /// Dedicated stream for drop/corrupt Bernoulli trials, forked from
@@ -153,9 +173,10 @@ pub struct Simulation {
     store: PacketStore,
 
     switches: Vec<SwitchCore>,
-    host_nic: Vec<HostNic>,
-    /// `tx_busy[node][port]` (hosts use port 0).
-    tx_busy: Vec<Vec<bool>>,
+    /// Every directed port of every node; see [`PortState`].
+    ports: Vec<PortState>,
+    /// `port_offsets[node]` — index of the node's port 0 in `ports`.
+    port_offsets: Vec<usize>,
 
     flows: Vec<FlowState>,
     queries: Vec<QueryState>,
@@ -167,11 +188,6 @@ pub struct Simulation {
     bg_short_fct_ms: Samples,
     bg_all_fct_ms: Samples,
 
-    /// Flat per-directed-edge byte accumulator since the last sample tick.
-    port_tx_bytes: Vec<u64>,
-    /// `port_offsets[node]` — base index of the node's ports in the flat
-    /// arrays.
-    port_offsets: Vec<usize>,
     hot_samples: Vec<f64>,
     neighbor_free_1hop: Vec<f64>,
     neighbor_free_2hop: Vec<f64>,
@@ -183,18 +199,6 @@ pub struct Simulation {
 
     /// `(time, per-flow rcv_nxt)` captured at the warmup instant.
     warmup_snapshot: Option<(SimTime, Vec<u64>)>,
-    /// `paused[node][port]` — the peer has PAUSEd this port (PFC).
-    paused: Vec<Vec<bool>>,
-    /// `ingress_count[switch][port]` — buffered packets that arrived via
-    /// that ingress port (PFC accounting).
-    ingress_count: Vec<Vec<u32>>,
-    /// CIOQ only: per-switch per-input-port ingress queues.
-    ingress_q: Vec<Vec<VecDeque<PktRef>>>,
-    /// CIOQ only: whether each input port's forwarding engine is busy.
-    ingress_busy: Vec<Vec<bool>>,
-    /// `pause_asserted[switch][port]` — this switch has paused the link
-    /// partner on `port`.
-    pause_asserted: Vec<Vec<bool>>,
     /// Total PAUSE assertions (diagnostics).
     pause_events: u64,
     /// Schedules the periodic debug-build conservation check.
@@ -222,15 +226,6 @@ impl Simulation {
                     topo.node(n).ports.iter().map(|p| p.peer_is_host).collect();
                 SwitchCore::new(n, config.switch, host_facing)
             })
-            .collect();
-        let host_nic = (0..topo.num_hosts())
-            .map(|_| HostNic {
-                queue: VecDeque::new(),
-                busy: false,
-            })
-            .collect();
-        let tx_busy = (0..topo.num_nodes())
-            .map(|n| vec![false; topo.num_ports(NodeId::from_index(n))])
             .collect();
 
         let mut port_offsets = Vec::with_capacity(topo.num_nodes());
@@ -280,8 +275,8 @@ impl Simulation {
             ids: IdGen::new(),
             store: PacketStore::new(),
             switches,
-            host_nic,
-            tx_busy,
+            ports: (0..total_ports).map(|_| PortState::default()).collect(),
+            port_offsets,
             flows: Vec::new(),
             queries: Vec::new(),
             counters: NetCounters::default(),
@@ -290,8 +285,6 @@ impl Simulation {
             qct_ms: Samples::new(),
             bg_short_fct_ms: Samples::new(),
             bg_all_fct_ms: Samples::new(),
-            port_tx_bytes: vec![0; total_ports],
-            port_offsets,
             hot_samples: Vec::new(),
             neighbor_free_1hop: Vec::new(),
             neighbor_free_2hop: Vec::new(),
@@ -299,29 +292,6 @@ impl Simulation {
             neighbors2,
             last_sample: SimTime::ZERO,
             warmup_snapshot: None,
-            paused: (0..topo.num_nodes())
-                .map(|n| vec![false; topo.num_ports(NodeId::from_index(n))])
-                .collect(),
-            ingress_count: topo
-                .switch_nodes()
-                .iter()
-                .map(|&n| vec![0; topo.num_ports(n)])
-                .collect(),
-            ingress_q: topo
-                .switch_nodes()
-                .iter()
-                .map(|&n| (0..topo.num_ports(n)).map(|_| VecDeque::new()).collect())
-                .collect(),
-            ingress_busy: topo
-                .switch_nodes()
-                .iter()
-                .map(|&n| vec![false; topo.num_ports(n)])
-                .collect(),
-            pause_asserted: topo
-                .switch_nodes()
-                .iter()
-                .map(|&n| vec![false; topo.num_ports(n)])
-                .collect(),
             pause_events: 0,
             audit: AuditLedger::new(),
             faults: None,
@@ -365,9 +335,6 @@ impl Simulation {
         let plan = spec.resolve(&self.topo, self.config.horizon, &mut plan_rng)?;
         self.faults = Some(FaultState {
             plan,
-            link_down: (0..self.topo.num_nodes())
-                .map(|n| vec![false; self.topo.num_ports(NodeId::from_index(n))])
-                .collect(),
             crashed: vec![false; self.topo.num_switches()],
             rng: root.fork("fault/drop"),
         });
@@ -419,7 +386,7 @@ impl Simulation {
         let fi = u32::try_from(self.flows.len()).expect("flow count fits u32");
         let flow_id = FlowId(fi);
         let sender = TcpSender::new(self.config.tcp, flow_id, spec.src, spec.dst, spec.size);
-        let receiver = TcpReceiver::with_delayed_acks(
+        let receiver = TcpReceiver::new(
             flow_id,
             spec.dst,
             spec.src,
@@ -510,8 +477,8 @@ impl Simulation {
     }
 
     /// Debug-build leak check at the end of a run: every live handle sits
-    /// in exactly one place a packet can wait — a NIC or CIOQ ingress
-    /// queue, a switch buffer, or an event the horizon cut off — so a
+    /// in exactly one place a packet can wait — a port queue (host FIFO or
+    /// CIOQ ingress), a switch buffer, or an event the horizon cut off — so a
     /// handle some drop path forgot to release, or one queued twice, shows
     /// up here. Drains the engine, so it runs after the results are read.
     fn debug_check_handles(&mut self) {
@@ -522,19 +489,14 @@ impl Simulation {
                 in_events += 1;
             }
         }
-        let in_nic: usize = self.host_nic.iter().map(|n| n.queue.len()).sum();
-        let in_ingress: usize = self
-            .ingress_q
-            .iter()
-            .flat_map(|qs| qs.iter().map(VecDeque::len))
-            .sum();
+        let in_ports: usize = self.ports.iter().map(|p| p.queue.len()).sum();
         let in_buffer: usize = self.switches.iter().map(SwitchCore::total_buffered).sum();
-        let resident = u64::try_from(in_nic + in_ingress + in_buffer).unwrap_or(u64::MAX);
+        let resident = u64::try_from(in_ports + in_buffer).unwrap_or(u64::MAX);
         assert_eq!(
             self.store.live(),
             resident + in_events,
-            "live packet handles != nic {in_nic} + ingress {in_ingress} + buffer \
-             {in_buffer} + events {in_events}"
+            "live packet handles != port queues {in_ports} + buffer {in_buffer} + events \
+             {in_events}"
         );
     }
 
@@ -545,59 +507,38 @@ impl Simulation {
             Event::TxComplete { node, port, pkt } => self.on_tx_complete(node, port as usize, pkt),
             Event::RtoFire { flow, gen } => self.on_rto(flow as usize, gen),
             Event::Sample => self.on_sample(),
-            Event::WarmupSnapshot => {
-                let bytes = self.flows.iter().map(|f| f.receiver.rcv_nxt()).collect();
-                self.warmup_snapshot = Some((self.engine.now(), bytes));
-            }
+            Event::WarmupSnapshot => self.on_warmup_snapshot(),
             Event::ForwardDone { node, port, pkt } => {
-                let si = self.topo.as_switch(node).expect("switch").index();
-                if self.fault_crashed_switch(si) {
-                    // The switch crashed while this packet was in its
-                    // forwarding pipeline; it dies with the switch.
-                    self.counters.drops_fault += 1;
-                    self.discard(pkt, node, TraceKind::Drop);
-                    self.ingress_busy[si][port as usize] = false;
-                    return;
-                }
-                self.route_and_enqueue(node, si, pkt);
-                self.ingress_busy[si][port as usize] = false;
-                self.start_forwarding(node, si, port as usize);
+                self.on_forward_done(node, port as usize, pkt)
             }
             Event::PauseSet { node, port, paused } => {
-                self.paused[node.index()][port as usize] = paused;
-                if !paused {
-                    // Resume transmission on the released port.
-                    match self.topo.as_host(node) {
-                        Some(host) => {
-                            if !self.host_nic[host.index()].busy {
-                                self.start_host_tx(host);
-                            }
-                        }
-                        None => {
-                            let si = self.topo.as_switch(node).expect("switch").index();
-                            self.kick_switch_port(node, si, port as usize);
-                        }
-                    }
-                }
+                self.on_pause_set(node, port as usize, paused)
             }
             Event::Fault(idx) => self.on_fault(idx as usize),
         }
+    }
+
+    fn on_warmup_snapshot(&mut self) {
+        let bytes = self.flows.iter().map(|f| f.receiver.rcv_nxt()).collect();
+        self.warmup_snapshot = Some((self.engine.now(), bytes));
+    }
+
+    /// Index of `node`'s `port` in [`Simulation::ports`].
+    fn port_index(&self, node: NodeId, port: usize) -> usize {
+        self.port_offsets[node.index()] + port
     }
 
     // ------------------------------------------------------------------
     // Fault injection.
     // ------------------------------------------------------------------
 
-    /// Whether `node`'s `port` sits on an administratively-downed link.
-    fn fault_link_down(&self, node: NodeId, port: usize) -> bool {
-        self.faults
-            .as_ref()
-            .is_some_and(|f| f.link_down[node.index()][port])
-    }
-
-    /// Whether switch `si` has crashed.
-    fn fault_crashed_switch(&self, si: usize) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.crashed[si])
+    /// Whether `node` is a switch that has crashed.
+    fn fault_crashed(&self, node: NodeId) -> bool {
+        self.faults.as_ref().is_some_and(|f| {
+            self.topo
+                .as_switch(node)
+                .is_some_and(|s| f.crashed[s.index()])
+        })
     }
 
     /// One seeded Bernoulli trial per matching drop profile, evaluated in
@@ -643,33 +584,14 @@ impl Simulation {
     fn set_link_state(&mut self, link: LinkId, down: bool) {
         let l = self.topo.links()[link.index()];
         let ends = [(l.a.node, l.a.port), (l.b.node, l.b.port)];
-        {
-            let f = self.faults.as_mut().expect("fault state present");
-            for &(node, port) in &ends {
-                f.link_down[node.index()][port] = down;
-            }
+        for &(node, port) in &ends {
+            let pi = self.port_index(node, port);
+            self.ports[pi].link_down = down;
         }
         self.refresh_routes();
         if !down {
             for &(node, port) in &ends {
-                self.resume_endpoint(node, port);
-            }
-        }
-    }
-
-    /// Restarts transmission on an endpoint whose link just recovered.
-    fn resume_endpoint(&mut self, node: NodeId, port: usize) {
-        match self.topo.as_host(node) {
-            Some(host) => {
-                if !self.host_nic[host.index()].busy {
-                    self.start_host_tx(host);
-                }
-            }
-            None => {
-                let si = self.topo.as_switch(node).expect("switch").index();
-                if !self.fault_crashed_switch(si) {
-                    self.kick_switch_port(node, si, port);
-                }
+                self.resume(node, port);
             }
         }
     }
@@ -678,22 +600,19 @@ impl Simulation {
     /// the flow-level ECMP memo (per-switch detour memos cache only flow
     /// hashes, not routes, so they stay valid).
     fn refresh_routes(&mut self) {
-        let Some(f) = self.faults.as_ref() else {
+        if self.faults.is_none() {
             return;
-        };
-        let mut disabled = vec![false; self.topo.links().len()];
-        for (i, l) in self.topo.links().iter().enumerate() {
-            let down = f.link_down[l.a.node.index()][l.a.port];
-            let a_crashed = self
-                .topo
-                .as_switch(l.a.node)
-                .is_some_and(|s| f.crashed[s.index()]);
-            let b_crashed = self
-                .topo
-                .as_switch(l.b.node)
-                .is_some_and(|s| f.crashed[s.index()]);
-            disabled[i] = down || a_crashed || b_crashed;
         }
+        let disabled: Vec<bool> = self
+            .topo
+            .links()
+            .iter()
+            .map(|l| {
+                self.ports[self.port_index(l.a.node, l.a.port)].link_down
+                    || self.fault_crashed(l.a.node)
+                    || self.fault_crashed(l.b.node)
+            })
+            .collect();
         self.fib = Fib::compute_masked(&self.topo, self.fib.salt(), &disabled);
         self.ecmp_memo.clear();
     }
@@ -719,13 +638,14 @@ impl Simulation {
         for r in drained {
             self.counters.drops_fault += 1;
             let pkt = self.discard(r, node, TraceKind::Drop);
-            self.pfc_on_dequeued(si, usize::from(pkt.last_ingress));
+            self.pfc_on_dequeued(node, usize::from(pkt.last_ingress));
         }
         // CIOQ ingress queues die too; those packets were never counted
         // into PFC buffering, so no XON bookkeeping here.
-        let ingress: Vec<PktRef> = self.ingress_q[si]
+        let first = self.port_index(node, 0);
+        let ingress: Vec<PktRef> = self.ports[first..first + self.topo.num_ports(node)]
             .iter_mut()
-            .flat_map(std::mem::take)
+            .flat_map(|p| std::mem::take(&mut p.queue))
             .collect();
         for r in ingress {
             self.counters.drops_fault += 1;
@@ -787,40 +707,18 @@ impl Simulation {
                 &mut self.tracer,
             );
         }
-        if self.host_nic[host.index()].queue.len() >= self.config.host_nic_cap {
+        let node = self.topo.host_node(host);
+        let pi = self.port_index(node, 0);
+        if self.ports[pi].queue.len() >= self.config.host_nic_cap {
             // Qdisc-style local drop, before the packet ever enters the
             // store; the transport retransmits later.
             self.counters.drops_host_nic += 1;
-            let node = self.topo.host_node(host).0;
-            self.trace_pkt(TraceKind::Drop, node, &pkt);
+            self.trace_pkt(TraceKind::Drop, node.0, &pkt);
             return;
         }
         let r = self.store.insert(pkt);
-        let nic = &mut self.host_nic[host.index()];
-        nic.queue.push_back(r);
-        if !nic.busy {
-            self.start_host_tx(host);
-        }
-    }
-
-    fn start_host_tx(&mut self, host: HostId) {
-        let node = self.topo.host_node(host);
-        if self.paused[node.index()][0] || self.fault_link_down(node, 0) {
-            // PFC pause from the edge switch, or the uplink is faulted
-            // down; the NIC parks and is re-kicked on release/recovery.
-            self.host_nic[host.index()].busy = false;
-            return;
-        }
-        let Some(pkt) = self.host_nic[host.index()].queue.pop_front() else {
-            self.host_nic[host.index()].busy = false;
-            return;
-        };
-        self.host_nic[host.index()].busy = true;
-        let up = self.topo.host_uplink(host);
-        let wire_bytes = self.store.get(pkt).wire_bytes;
-        let ser = SimDuration::serialization(u64::from(wire_bytes), up.rate_bps);
-        self.engine
-            .schedule_in(ser, Event::TxComplete { node, port: 0, pkt });
+        self.ports[pi].queue.push_back(r);
+        self.kick(node, 0);
     }
 
     /// Records a host-side or delivery-side trace event. Costs one dead
@@ -897,7 +795,7 @@ impl Simulation {
             let pkts =
                 self.flows[fi]
                     .sender
-                    .on_ack_ts(pkt.seq, pkt.ece, pkt.ts_echo, now, &mut self.ids);
+                    .on_ack(pkt.seq, pkt.ece, pkt.ts_echo, now, &mut self.ids);
             for p in pkts {
                 self.host_send(host, p);
             }
@@ -947,7 +845,7 @@ impl Simulation {
 
     fn on_switch_arrive(&mut self, node: NodeId, r: PktRef) {
         let si = self.topo.as_switch(node).expect("switch node").index();
-        if self.fault_crashed_switch(si) {
+        if self.fault_crashed(node) {
             // A crashed switch blackholes everything that reaches it.
             self.counters.drops_fault += 1;
             self.discard(r, node, TraceKind::Drop);
@@ -983,30 +881,32 @@ impl Simulation {
         {
             // CIOQ: queue at the ingress; the forwarding engine moves
             // packets to egress at speedup x line rate.
-            if self.ingress_q[si][ingress].len() >= ingress_packets {
+            let pi = self.port_index(node, ingress);
+            if self.ports[pi].queue.len() >= ingress_packets {
                 self.counters.drops_buffer += 1;
                 self.discard(r, node, TraceKind::Drop);
                 return;
             }
-            self.ingress_q[si][ingress].push_back(r);
-            self.start_forwarding(node, si, ingress);
+            self.ports[pi].queue.push_back(r);
+            self.start_forwarding(node, ingress);
             return;
         }
         self.route_and_enqueue(node, si, r);
     }
 
     /// CIOQ: start the ingress port's forwarding engine if idle.
-    fn start_forwarding(&mut self, node: NodeId, si: usize, ingress: usize) {
-        if self.ingress_busy[si][ingress] {
+    fn start_forwarding(&mut self, node: NodeId, ingress: usize) {
+        let pi = self.port_index(node, ingress);
+        if self.ports[pi].forwarding {
             return;
         }
-        let Some(pkt) = self.ingress_q[si][ingress].pop_front() else {
+        let Some(pkt) = self.ports[pi].queue.pop_front() else {
             return;
         };
         let crate::config::SwitchArch::Cioq { speedup, .. } = self.config.arch else {
             unreachable!("ingress queues are only fed in CIOQ mode");
         };
-        self.ingress_busy[si][ingress] = true;
+        self.ports[pi].forwarding = true;
         // Speedup is a small positive factor; the scaled rate stays far
         // below u64::MAX for any physical link.
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -1021,6 +921,23 @@ impl Simulation {
                 pkt,
             },
         );
+    }
+
+    /// CIOQ: the forwarding engine of `node`'s ingress `port` finished
+    /// moving `pkt`; admit it to an egress queue and start the next one.
+    fn on_forward_done(&mut self, node: NodeId, port: usize, pkt: PktRef) {
+        let pi = self.port_index(node, port);
+        self.ports[pi].forwarding = false;
+        let si = self.topo.as_switch(node).expect("switch").index();
+        if self.fault_crashed(node) {
+            // The switch crashed while this packet was in its forwarding
+            // pipeline; it dies with the switch.
+            self.counters.drops_fault += 1;
+            self.discard(pkt, node, TraceKind::Drop);
+            return;
+        }
+        self.route_and_enqueue(node, si, pkt);
+        self.start_forwarding(node, port);
     }
 
     /// FIB lookup + egress admission (the §2 data path), common to both
@@ -1072,18 +989,18 @@ impl Simulation {
         if let Some(d) = result.displaced {
             self.counters.drops_displaced += 1;
             let displaced = self.store.release(d);
-            self.pfc_on_dequeued(si, usize::from(displaced.last_ingress));
+            self.pfc_on_dequeued(node, usize::from(displaced.last_ingress));
         }
         match result.outcome {
             EnqueueOutcome::Enqueued { port } => {
-                self.pfc_on_buffered(node, si, ingress);
-                self.kick_switch_port(node, si, port);
+                self.pfc_on_buffered(node, ingress);
+                self.kick(node, port);
             }
             EnqueueOutcome::Detoured { port } => {
                 self.counters.detours += 1;
                 self.detours_per_switch[si] += 1;
-                self.pfc_on_buffered(node, si, ingress);
-                self.kick_switch_port(node, si, port);
+                self.pfc_on_buffered(node, ingress);
+                self.kick(node, port);
             }
             EnqueueOutcome::Dropped(_) => {
                 // The switch already traced the drop.
@@ -1093,71 +1010,97 @@ impl Simulation {
         }
     }
 
-    fn kick_switch_port(&mut self, node: NodeId, si: usize, port: usize) {
-        if self.tx_busy[node.index()][port]
-            || self.paused[node.index()][port]
-            || self.fault_link_down(node, port)
-        {
+    // ------------------------------------------------------------------
+    // Ports: one transmit path for hosts and switches alike.
+    // ------------------------------------------------------------------
+
+    /// The one transmit path: starts the next frame on `node`'s `port`
+    /// unless the port is busy, paused, or on a downed link. A host sends
+    /// the head of its FIFO; a switch dequeues from its egress queue.
+    fn kick(&mut self, node: NodeId, port: usize) {
+        let pi = self.port_index(node, port);
+        let state = &self.ports[pi];
+        if state.busy || state.paused || state.link_down {
             return;
         }
+        let next = match self.topo.as_switch(node) {
+            None => self.ports[pi].queue.pop_front(),
+            Some(s) => self.switch_dequeue(node, s.index(), port),
+        };
+        let Some(pkt) = next else { return };
+        self.ports[pi].busy = true;
+        let wire_bytes = self.store.get(pkt).wire_bytes;
+        let rate = self.topo.port(node, port).rate_bps;
+        let ser = SimDuration::serialization(u64::from(wire_bytes), rate);
+        self.engine.schedule_in(
+            ser,
+            Event::TxComplete {
+                node,
+                port: u32::try_from(port).expect("port index fits u32"),
+                pkt,
+            },
+        );
+    }
+
+    /// Takes the next frame a switch sends on `port`. Frames the fault plan
+    /// corrupts on the wire are discarded here and the next one is tried;
+    /// each frame that leaves the buffer frees its PFC ingress slot.
+    fn switch_dequeue(&mut self, node: NodeId, si: usize, port: usize) -> Option<PktRef> {
         let now_ns = self.engine.now().as_nanos();
         loop {
-            let Some(pkt) = self.switches[si].dequeue(&self.store, port, now_ns, &mut self.tracer)
-            else {
-                return;
-            };
-            let (ingress, wire_bytes) = {
-                let p = self.store.get(pkt);
-                (usize::from(p.last_ingress), p.wire_bytes)
-            };
-            if self.fault_should_corrupt(pkt) {
-                // The frame is corrupted on the wire; free its PFC slot
-                // and try the next packet in the queue.
-                self.pfc_on_dequeued(si, ingress);
-                self.counters.drops_fault += 1;
-                self.discard(pkt, node, TraceKind::Drop);
-                continue;
+            let pkt = self.switches[si].dequeue(&self.store, port, now_ns, &mut self.tracer)?;
+            let ingress = usize::from(self.store.get(pkt).last_ingress);
+            let corrupt = self.fault_should_corrupt(pkt);
+            self.pfc_on_dequeued(node, ingress);
+            if !corrupt {
+                return Some(pkt);
             }
-            self.tx_busy[node.index()][port] = true;
-            self.pfc_on_dequeued(si, ingress);
-            let rate = self.topo.port(node, port).rate_bps;
-            let ser = SimDuration::serialization(u64::from(wire_bytes), rate);
-            self.engine.schedule_in(
-                ser,
-                Event::TxComplete {
-                    node,
-                    port: u32::try_from(port).expect("port index fits u32"),
-                    pkt,
-                },
-            );
-            return;
+            self.counters.drops_fault += 1;
+            self.discard(pkt, node, TraceKind::Drop);
+        }
+    }
+
+    /// Restarts a port whose PAUSE was released or whose link came back
+    /// up; a crashed switch stays dark.
+    fn resume(&mut self, node: NodeId, port: usize) {
+        if !self.fault_crashed(node) {
+            self.kick(node, port);
+        }
+    }
+
+    fn on_pause_set(&mut self, node: NodeId, port: usize, paused: bool) {
+        let pi = self.port_index(node, port);
+        self.ports[pi].paused = paused;
+        if !paused {
+            self.resume(node, port);
         }
     }
 
     /// PFC bookkeeping: a packet that arrived via `ingress` was buffered.
     /// Pauses the link partner on that ingress once its count hits XOFF.
-    fn pfc_on_buffered(&mut self, node: NodeId, si: usize, ingress: usize) {
+    fn pfc_on_buffered(&mut self, node: NodeId, ingress: usize) {
         let Some(pfc) = self.config.pfc else { return };
-        self.ingress_count[si][ingress] += 1;
-        if self.pause_asserted[si][ingress] || (self.ingress_count[si][ingress] as usize) < pfc.xoff
-        {
+        let pi = self.port_index(node, ingress);
+        let state = &mut self.ports[pi];
+        state.ingress_count += 1;
+        if state.pause_asserted || (state.ingress_count as usize) < pfc.xoff {
             return;
         }
-        self.pause_asserted[si][ingress] = true;
+        state.pause_asserted = true;
         self.pause_events += 1;
         self.send_pause_frame(node, ingress, pfc.control_delay, true);
     }
 
     /// PFC bookkeeping on dequeue: releases the ingress partner at XON.
-    fn pfc_on_dequeued(&mut self, si: usize, ingress: usize) {
+    fn pfc_on_dequeued(&mut self, node: NodeId, ingress: usize) {
         let Some(pfc) = self.config.pfc else { return };
-        self.ingress_count[si][ingress] = self.ingress_count[si][ingress].saturating_sub(1);
-        if !self.pause_asserted[si][ingress] || (self.ingress_count[si][ingress] as usize) > pfc.xon
-        {
+        let pi = self.port_index(node, ingress);
+        let state = &mut self.ports[pi];
+        state.ingress_count = state.ingress_count.saturating_sub(1);
+        if !state.pause_asserted || (state.ingress_count as usize) > pfc.xon {
             return;
         }
-        self.pause_asserted[si][ingress] = false;
-        let node = self.switches[si].node();
+        state.pause_asserted = false;
         self.send_pause_frame(node, ingress, pfc.control_delay, false);
     }
 
@@ -1174,22 +1117,14 @@ impl Simulation {
     }
 
     fn on_tx_complete(&mut self, node: NodeId, port: usize, pkt: PktRef) {
-        if self.fault_link_down(node, port)
-            || self
-                .topo
-                .as_switch(node)
-                .is_some_and(|s| self.fault_crashed_switch(s.index()))
-        {
+        let pi = self.port_index(node, port);
+        self.ports[pi].busy = false;
+        if self.ports[pi].link_down || self.fault_crashed(node) {
             // The link went down (or the switch crashed) while the frame
-            // was serializing: the frame is cut on the wire. Release the
-            // port without restarting — recovery re-kicks it.
+            // was serializing: the frame is cut on the wire. The port
+            // stays idle until recovery resumes it.
             self.counters.drops_fault += 1;
             self.discard(pkt, node, TraceKind::Drop);
-            match self.topo.as_host(node) {
-                // start_host_tx parks again while the uplink stays down.
-                Some(host) => self.start_host_tx(host),
-                None => self.tx_busy[node.index()][port] = false,
-            }
             return;
         }
         let p = self.topo.port(node, port);
@@ -1198,21 +1133,10 @@ impl Simulation {
         // Stamp the ingress port the packet will arrive on (PFC accounting).
         let p_mut = self.store.get_mut(pkt);
         p_mut.last_ingress = u16::try_from(p.peer_port).expect("port index fits u16");
-        self.port_tx_bytes[self.port_offsets[node.index()] + port] += u64::from(p_mut.wire_bytes);
+        self.ports[pi].tx_bytes += u64::from(p_mut.wire_bytes);
         self.engine
             .schedule_in(delay, Event::Arrive { node: peer, pkt });
-
-        // Start the next transmission on this port.
-        match self.topo.as_host(node) {
-            Some(host) => {
-                self.start_host_tx(host);
-            }
-            None => {
-                self.tx_busy[node.index()][port] = false;
-                let si = self.topo.as_switch(node).expect("switch").index();
-                self.kick_switch_port(node, si, port);
-            }
-        }
+        self.kick(node, port);
     }
 
     // ------------------------------------------------------------------
@@ -1233,9 +1157,9 @@ impl Simulation {
         let mut total_links = 0usize;
         let mut hot_switch = vec![false; self.topo.num_switches()];
         for (idx, (pr, port)) in self.topo.directed_edges().enumerate() {
-            let util = (self.port_tx_bytes[idx] * 8) as f64 / (port.rate_bps as f64 * secs);
+            let util = (self.ports[idx].tx_bytes * 8) as f64 / (port.rate_bps as f64 * secs);
             total_links += 1;
-            if util >= self.config.hot_link_threshold {
+            if util >= HOT_LINK_THRESHOLD {
                 hot_links += 1;
                 if let Some(s) = self.topo.as_switch(pr.node) {
                     hot_switch[s.index()] = true;
@@ -1246,8 +1170,8 @@ impl Simulation {
                 }
             }
         }
-        for b in &mut self.port_tx_bytes {
-            *b = 0;
+        for p in &mut self.ports {
+            p.tx_bytes = 0;
         }
         self.hot_samples.push(hot_links as f64 / total_links as f64);
 

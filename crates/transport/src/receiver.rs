@@ -60,19 +60,14 @@ pub struct TcpReceiver {
 }
 
 impl TcpReceiver {
-    /// Creates a receiver expecting `expected` bytes on `flow`, acking
-    /// every packet immediately.
-    pub fn new(flow: FlowId, host: HostId, peer: HostId, expected: u64, ack_ttl: u8) -> Self {
-        Self::with_delayed_acks(flow, host, peer, expected, ack_ttl, 1)
-    }
-
-    /// Creates a receiver with DCTCP delayed acks: one ack per `ack_every`
-    /// in-order packets (see the module docs for the immediate-ack rules).
+    /// Creates a receiver expecting `expected` bytes on `flow`, with DCTCP
+    /// delayed acks: one ack per `ack_every` in-order packets (1 acks every
+    /// packet immediately; see the module docs for the immediate-ack rules).
     ///
     /// # Panics
     ///
     /// Panics if `ack_every` is zero.
-    pub fn with_delayed_acks(
+    pub fn new(
         flow: FlowId,
         host: HostId,
         peer: HostId,
@@ -282,7 +277,7 @@ mod tests {
 
     fn rcv(expected: u64) -> (TcpReceiver, IdGen) {
         (
-            TcpReceiver::new(FlowId(1), HostId(1), HostId(0), expected, 255),
+            TcpReceiver::new(FlowId(1), HostId(1), HostId(0), expected, 255, 1),
             IdGen::new(),
         )
     }
@@ -398,7 +393,7 @@ mod tests {
 
     fn rcv_delayed(expected: u64, m: u32) -> (TcpReceiver, IdGen) {
         (
-            TcpReceiver::with_delayed_acks(FlowId(1), HostId(1), HostId(0), expected, 255, m),
+            TcpReceiver::new(FlowId(1), HostId(1), HostId(0), expected, 255, m),
             IdGen::new(),
         )
     }

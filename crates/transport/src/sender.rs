@@ -90,7 +90,7 @@ pub struct TcpSender {
     /// newest segment it covers — matching NS-3's per-segment RTT history,
     /// which keeps the RTO tracking queue buildup *within* a burst.
     /// Invalidated by any retransmission (Karn's rule). Unused once the
-    /// peer echoes timestamps (see [`TcpSender::on_ack_ts`]).
+    /// peer echoes timestamps (see [`TcpSender::on_ack`]).
     rtt_history: std::collections::VecDeque<(u64, SimTime)>,
     /// Whether a timestamp echo has been seen (disables history sampling).
     timestamps_seen: bool,
@@ -237,7 +237,7 @@ impl TcpSender {
 
     /// Handles a cumulative acknowledgment carrying the receiver's ECN echo
     /// and (when available) the RFC 7323 timestamp echo.
-    pub fn on_ack_ts(
+    pub fn on_ack(
         &mut self,
         ack: u64,
         ece: bool,
@@ -268,11 +268,6 @@ impl TcpSender {
                 }
             }
         }
-        self.on_ack(ack, ece, now, ids)
-    }
-
-    /// Handles a cumulative acknowledgment carrying the receiver's ECN echo.
-    pub fn on_ack(&mut self, ack: u64, ece: bool, now: SimTime, ids: &mut IdGen) -> Vec<Packet> {
         if self.completed.is_some() || self.started.is_none() {
             return Vec::new();
         }
@@ -618,10 +613,10 @@ mod tests {
         let t0 = SimTime::ZERO;
         s.start(t0, &mut ids);
         let t1 = SimTime::from_micros(100);
-        let more = s.on_ack(1460, false, t1, &mut ids);
+        let more = s.on_ack(1460, false, None, t1, &mut ids);
         assert!(more.is_empty(), "window already covers the flow");
         assert!(!s.is_complete());
-        s.on_ack(2920, false, SimTime::from_micros(200), &mut ids);
+        s.on_ack(2920, false, None, SimTime::from_micros(200), &mut ids);
         assert!(s.is_complete());
         assert_eq!(s.completed_at(), Some(SimTime::from_micros(200)));
         assert!(s.timer().is_none(), "timer disarmed at completion");
@@ -634,7 +629,7 @@ mod tests {
         let cwnd0 = s.cwnd();
         // Ack the whole initial window without marks.
         let mut sent = 14_600;
-        let pkts = s.on_ack(sent, false, SimTime::from_micros(100), &mut ids);
+        let pkts = s.on_ack(sent, false, None, SimTime::from_micros(100), &mut ids);
         assert!(s.cwnd() >= cwnd0 * 1.9, "slow start should ~double");
         // And the pump refills the (now larger) window.
         sent += pkts.iter().map(|p| u64::from(p.payload_bytes)).sum::<u64>();
@@ -655,7 +650,7 @@ mod tests {
         for _ in 0..100 {
             now += SimDuration::from_micros(100);
             let ack_to = s.snd_nxt_test();
-            s.on_ack(ack_to, false, now, &mut ids);
+            s.on_ack(ack_to, false, None, now, &mut ids);
         }
         assert!(!s.is_complete());
         assert!(s.alpha() < 0.01, "alpha should decay: {}", s.alpha());
@@ -663,7 +658,7 @@ mod tests {
         for _ in 0..100 {
             now += SimDuration::from_micros(100);
             let ack_to = s.snd_nxt_test();
-            s.on_ack(ack_to, true, now, &mut ids);
+            s.on_ack(ack_to, true, None, now, &mut ids);
         }
         assert!(!s.is_complete());
         assert!(s.alpha() > 0.9, "alpha should rise: {}", s.alpha());
@@ -675,10 +670,10 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         // Drive alpha to a known value by ending one fully-marked window.
         let w = s.snd_nxt_test();
-        s.on_ack(w, true, SimTime::from_micros(50), &mut ids);
+        s.on_ack(w, true, None, SimTime::from_micros(50), &mut ids);
         let after_first = s.cwnd();
         // A second ECE ack in the same window must not cut again.
-        s.on_ack(w + 1460, true, SimTime::from_micros(60), &mut ids);
+        s.on_ack(w + 1460, true, None, SimTime::from_micros(60), &mut ids);
         assert!(s.cwnd() >= after_first, "second cut within window");
     }
 
@@ -705,7 +700,7 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         let (_, gen) = s.timer().unwrap();
         // An ack re-arms the timer, bumping the generation.
-        s.on_ack(1460, false, SimTime::from_micros(100), &mut ids);
+        s.on_ack(1460, false, None, SimTime::from_micros(100), &mut ids);
         let pkts = s.on_rto(gen, SimTime::from_millis(10), &mut ids, 0, &mut NullSink);
         assert!(pkts.is_empty());
         assert_eq!(s.counters().timeouts, 0);
@@ -717,16 +712,16 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         let t = SimTime::from_micros(100);
         // First ack advances, then three dups trigger a fast retransmit.
-        s.on_ack(1460, false, t, &mut ids);
-        assert!(s.on_ack(1460, false, t, &mut ids).is_empty());
-        assert!(s.on_ack(1460, false, t, &mut ids).is_empty());
-        let rtx = s.on_ack(1460, false, t, &mut ids);
+        s.on_ack(1460, false, None, t, &mut ids);
+        assert!(s.on_ack(1460, false, None, t, &mut ids).is_empty());
+        assert!(s.on_ack(1460, false, None, t, &mut ids).is_empty());
+        let rtx = s.on_ack(1460, false, None, t, &mut ids);
         assert_eq!(rtx.len(), 1);
         assert_eq!(rtx[0].seq, 1460);
         assert!(rtx[0].retransmit);
         assert_eq!(s.counters().fast_retransmits, 1);
         // Further dups in the same recovery epoch do not retransmit again.
-        assert!(s.on_ack(1460, false, t, &mut ids).is_empty());
+        assert!(s.on_ack(1460, false, None, t, &mut ids).is_empty());
     }
 
     #[test]
@@ -741,9 +736,9 @@ mod tests {
         let mut ids = IdGen::new();
         s.start(SimTime::ZERO, &mut ids);
         let t = SimTime::from_micros(100);
-        s.on_ack(1460, false, t, &mut ids);
+        s.on_ack(1460, false, None, t, &mut ids);
         for _ in 0..50 {
-            assert!(s.on_ack(1460, false, t, &mut ids).is_empty());
+            assert!(s.on_ack(1460, false, None, t, &mut ids).is_empty());
         }
         assert_eq!(s.counters().fast_retransmits, 0);
     }
@@ -761,7 +756,7 @@ mod tests {
         let pkts = s.start(SimTime::ZERO, &mut ids);
         assert!(pkts.iter().all(|p| p.priority == 14_600));
         // After half is acked, fresh packets carry the smaller remainder.
-        let more = s.on_ack(7300, false, SimTime::from_micros(50), &mut ids);
+        let more = s.on_ack(7300, false, None, SimTime::from_micros(50), &mut ids);
         assert!(more.iter().all(|p| p.priority == 7300));
         // Fixed window: cwnd unchanged throughout.
         assert_eq!(s.cwnd(), 14_600.0);
@@ -794,7 +789,7 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         // Whole window acked 2 ms later: sample = 2 ms, but min_rto = 10 ms
         // dominates.
-        s.on_ack(14_600, false, SimTime::from_millis(2), &mut ids);
+        s.on_ack(14_600, false, None, SimTime::from_millis(2), &mut ids);
         assert_eq!(s.srtt(), Some(SimDuration::from_millis(2)));
         assert_eq!(s.rto(), SimDuration::from_millis(10));
     }
@@ -810,7 +805,7 @@ mod tests {
         // (t=0): the sample must be taken despite the retransmission
         // (Karn's rule would have discarded it).
         let late = SimTime::from_millis(15);
-        s.on_ack_ts(1460, false, Some(SimTime::ZERO), late, &mut ids);
+        s.on_ack(1460, false, Some(SimTime::ZERO), late, &mut ids);
         assert_eq!(s.srtt(), Some(SimDuration::from_millis(15)));
         assert!(s.rto() >= SimDuration::from_millis(15));
     }
@@ -824,7 +819,7 @@ mod tests {
         s.on_rto(gen, deadline, &mut ids, 0, &mut NullSink);
         assert_eq!(s.cwnd(), 1460.0, "window collapsed by the timeout");
         // Ack echoing a pre-timeout send time proves the timeout spurious.
-        s.on_ack_ts(
+        s.on_ack(
             14_600,
             false,
             Some(SimTime::ZERO),
@@ -847,7 +842,7 @@ mod tests {
         s.on_rto(gen, deadline, &mut ids, 0, &mut NullSink);
         // Ack echoing the *retransmission's* send time (>= timeout instant):
         // the loss was real, so the collapse stands.
-        s.on_ack_ts(
+        s.on_ack(
             1460,
             false,
             Some(deadline),

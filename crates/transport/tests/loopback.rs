@@ -66,7 +66,7 @@ impl Pipe {
     fn new(cfg: TcpConfig, size: u64, delay: SimDuration) -> Self {
         Pipe {
             sender: TcpSender::new(cfg, FlowId(0), HostId(0), HostId(1), size),
-            receiver: TcpReceiver::new(FlowId(0), HostId(1), HostId(0), size, 255),
+            receiver: TcpReceiver::new(FlowId(0), HostId(1), HostId(0), size, 255, 1),
             ids: IdGen::new(),
             wire: BinaryHeap::new(),
             wire_seq: 0,
@@ -137,7 +137,9 @@ impl Pipe {
                     self.transmit(out);
                 }
                 WireItem::Pkt(wp) if wp.is_ack => {
-                    let out = self.sender.on_ack(wp.seq, wp.ece, self.now, &mut self.ids);
+                    let out = self
+                        .sender
+                        .on_ack(wp.seq, wp.ece, None, self.now, &mut self.ids);
                     self.transmit(out);
                 }
                 WireItem::Pkt(wp) => {

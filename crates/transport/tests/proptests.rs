@@ -22,7 +22,7 @@ struct Channel {
 impl Channel {
     fn run(&self, cfg: TcpConfig, size: u64) -> (TcpSender, TcpReceiver, u64) {
         let mut sender = TcpSender::new(cfg, FlowId(0), HostId(0), HostId(1), size);
-        let mut receiver = TcpReceiver::new(FlowId(0), HostId(1), HostId(0), size, 255);
+        let mut receiver = TcpReceiver::new(FlowId(0), HostId(1), HostId(0), size, 255, 1);
         let mut ids = IdGen::new();
         let base = SimDuration::from_micros(30);
 
@@ -107,7 +107,7 @@ impl Channel {
                     }
                     Vec::new()
                 }
-                Item::Ack { seq, ece } => sender.on_ack(seq, ece, now, &mut ids),
+                Item::Ack { seq, ece } => sender.on_ack(seq, ece, None, now, &mut ids),
                 Item::Timer(gen) => sender.on_rto(gen, now, &mut ids, 0, &mut NullSink),
             };
             push_pkts(out, &mut heap, now, &mut tick, &mut data_idx);

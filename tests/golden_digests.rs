@@ -11,7 +11,9 @@
 //! reason a refactor can claim "no behavior change" with a straight face.
 
 use dibs::presets::{single_incast_sim, testbed_incast_sim};
-use dibs::{FaultSpec, RunDescriptor, RunDigest, SimConfig};
+use dibs::{FaultSpec, PfcConfig, RunDescriptor, RunDigest, SimConfig, SwitchArch};
+use dibs_engine::rng::hash_bytes;
+use dibs_engine::time::SimDuration;
 use dibs_net::builders::FatTreeParams;
 use dibs_switch::BufferConfig;
 
@@ -135,6 +137,67 @@ fn golden_random_drop_soak() {
     );
 }
 
+/// §6 flow-control family: the testbed incast without DIBS but with
+/// PFC, so switches PAUSE both the sending hosts and neighbouring
+/// switches (pause, park, and resume on both node kinds).
+#[test]
+fn golden_pfc_testbed_incast() {
+    let d = RunDescriptor::new("golden_pfc_testbed_incast", "pfc", 5, 0);
+    let mut cfg = SimConfig::dctcp_baseline().with_seed(d.seed(MASTER_SEED));
+    cfg.pfc = Some(PfcConfig::default_for_paper_buffers());
+    let results = testbed_incast_sim(cfg, 5, 10, 32_000).run();
+    assert!(results.pfc_pause_events > 0, "PFC never paused a link");
+    check("pfc_testbed_incast", &RunDigest::of(&results), GOLDEN_PFC);
+}
+
+/// §4 CIOQ family: the testbed incast under DIBS with input queues and a
+/// 2x forwarding engine.
+#[test]
+fn golden_cioq_testbed_incast() {
+    let d = RunDescriptor::new("golden_cioq_testbed_incast", "dibs", 5, 0);
+    let mut cfg = SimConfig::dctcp_dibs().with_seed(d.seed(MASTER_SEED));
+    cfg.arch = SwitchArch::Cioq {
+        speedup: 2.0,
+        ingress_packets: 64,
+    };
+    let results = testbed_incast_sim(cfg, 5, 10, 32_000).run();
+    check("cioq_testbed_incast", &RunDigest::of(&results), GOLDEN_CIOQ);
+}
+
+/// Fig 4/5 family: 1 ms sampling of hot links and neighbor free buffer
+/// through a 13 ms incast. `RunDigest` leaves samples out, so the pin
+/// hashes their bit patterns.
+#[test]
+fn golden_sampled_incast() {
+    let d = RunDescriptor::new("golden_sampled_incast", "dibs", 5, 0);
+    let mut cfg = SimConfig::dctcp_dibs().with_seed(d.seed(MASTER_SEED));
+    cfg.sample_interval = Some(SimDuration::from_millis(1));
+    let results = testbed_incast_sim(cfg, 5, 10, 32_000).run();
+    let series = [
+        &results.hot_fraction_samples,
+        &results.neighbor_free_1hop,
+        &results.neighbor_free_2hop,
+    ];
+    assert!(
+        series.iter().all(|s| !s.is_empty()),
+        "a sample series is empty"
+    );
+    let bytes: Vec<u8> = series
+        .iter()
+        .flat_map(|s| {
+            (s.len() as u64)
+                .to_le_bytes()
+                .into_iter()
+                .chain(s.iter().flat_map(|x| x.to_bits().to_le_bytes()))
+        })
+        .collect();
+    let got = hash_bytes(&bytes);
+    assert_eq!(
+        got, GOLDEN_SAMPLES,
+        "sampled_incast: sample hash changed — got {got:#018x}, pinned {GOLDEN_SAMPLES:#018x}"
+    );
+}
+
 // The pinned fingerprints. These change ONLY when simulation semantics
 // change; the parallel executor, jobs count, and merge order must never
 // move them.
@@ -152,3 +215,9 @@ const GOLDEN_TTL_SWEEP: u64 = 0x177c_befd_1697_2573;
 const GOLDEN_INCAST_LINK_FLAP: u64 = 0xa3d8_aa6e_ad6b_91a1;
 const GOLDEN_BUFFER_CRASH: u64 = 0x6a59_908d_0bba_c125;
 const GOLDEN_RANDOM_SOAK: u64 = 0x6ba2_5988_d5f8_fa69;
+
+// Port-model pins: PFC pause/resume, CIOQ forwarding, and the sampling
+// tick that reads the per-port byte counters.
+const GOLDEN_PFC: u64 = 0x4e1c_2b0c_ad12_ae9a;
+const GOLDEN_CIOQ: u64 = 0xe3f2_edcd_9caf_8a14;
+const GOLDEN_SAMPLES: u64 = 0x2fd4_182c_c0a1_7682;
