@@ -14,7 +14,7 @@
 //! Chrome-viewable JSON.
 
 use dibs::presets::single_incast_sim;
-use dibs::SimConfig;
+use dibs::{RunDescriptor, SimConfig};
 use dibs_bench::Harness;
 use dibs_net::builders::{fat_tree, FatTreeParams};
 use dibs_net::ids::NodeId;
@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 fn main() {
     let h = Harness::from_env();
     let mut cfg = SimConfig::dctcp_dibs();
-    cfg.seed = 12;
+    cfg.seed = RunDescriptor::new("fig02_detour_timeline", "dibs", 0, 0).seed(h.master_seed);
     let mut sim = single_incast_sim(FatTreeParams::paper_default(), cfg, 100, 20_000);
     // The figure needs every queue transition; a user --trace spec widens
     // (or narrows) the capture at their own risk.

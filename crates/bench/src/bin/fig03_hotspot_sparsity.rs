@@ -10,6 +10,7 @@
 //! Paper shape: for every family, in at least ~60 % of snapshots fewer than
 //! 10 % of links are hot.
 
+use dibs::RunDescriptor;
 use dibs_bench::Harness;
 use dibs_engine::rng::SimRng;
 use dibs_net::builders::{fat_tree, FatTreeParams};
@@ -25,7 +26,9 @@ fn main() {
     };
     let topo = fat_tree(FatTreeParams::paper_default());
     let fib = Fib::compute(&topo);
-    let mut rng = SimRng::new(42).fork("fig03");
+    let mut rng = SimRng::new(
+        RunDescriptor::new("fig03_hotspot_sparsity", "matrices", 0, 0).seed(h.master_seed),
+    );
 
     let mut rec = ExperimentRecord::new(
         "fig03_hotspot_sparsity",

@@ -6,7 +6,7 @@
 //! buffers nearby.
 
 use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::SimConfig;
+use dibs::{RunDescriptor, SimConfig};
 use dibs_bench::Harness;
 use dibs_engine::time::SimDuration;
 use dibs_net::builders::FatTreeParams;
@@ -23,17 +23,18 @@ fn main() {
         .param("sample_interval_ms", 1)
         .param("duration_ms", h.scale.heavy_duration().as_millis_f64());
 
-    let scale = h.scale;
-    let labelled: Vec<(&str, f64)> =
-        vec![("baseline", 300.0), ("heavy", 2000.0), ("extreme", 10000.0)];
+    let (scale, master) = (h.scale, h.master_seed);
+    let labelled: Vec<(&str, u32)> = vec![("baseline", 300), ("heavy", 2000), ("extreme", 10000)];
     let series = h.executor().map(labelled, |(label, qps)| {
         let wl = MixedWorkload {
-            qps,
+            qps: f64::from(qps),
             duration: scale.heavy_duration(),
             drain: scale.drain(),
             ..MixedWorkload::paper_default()
         };
-        let mut cfg = SimConfig::dctcp_dibs();
+        let mut cfg = SimConfig::dctcp_dibs().with_seed(
+            RunDescriptor::new("fig04_hotlinks", "paired", u64::from(qps), 0).paired_seed(master),
+        );
         cfg.sample_interval = Some(SimDuration::from_millis(1));
         let results = mixed_workload_sim(FatTreeParams::paper_default(), cfg, wl).run();
         (label, results.hot_fraction_samples)

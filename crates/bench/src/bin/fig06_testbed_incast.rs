@@ -11,7 +11,7 @@
 //! least one such flow.
 
 use dibs::presets::testbed_incast_sim;
-use dibs::SimConfig;
+use dibs::{RunDescriptor, SimConfig};
 use dibs_bench::Harness;
 use dibs_stats::{ExperimentRecord, Samples, SeriesPoint};
 use dibs_switch::BufferConfig;
@@ -44,8 +44,11 @@ fn main() {
     let mut qct: Vec<(String, Samples)> = Vec::new();
     let mut flow_dur: Vec<(String, Samples)> = Vec::new();
     for (name, cfg) in &variants {
-        let runs = h.executor().map((0..reps).collect::<Vec<u64>>(), |seed| {
-            let results = testbed_incast_sim(cfg.with_seed(seed + 1), 5, 10, 32_000).run();
+        let runs = h.executor().map((0..reps).collect::<Vec<u64>>(), |r| {
+            // The same seed for every variant: all three see identical incasts.
+            let seed = RunDescriptor::new("fig06_testbed_incast", "paired", 0, r)
+                .paired_seed(h.master_seed);
+            let results = testbed_incast_sim(cfg.with_seed(seed), 5, 10, 32_000).run();
             let q = results.queries[0]
                 .qct
                 .map(|d| d.as_millis_f64())

@@ -8,8 +8,6 @@
 //! deliberately generates long same-timestamp runs, cross-level jumps,
 //! and periodic `clear()`s (the cancel-everything path).
 
-#![cfg(feature = "heap-oracle")]
-
 use dibs_engine::queue::{heap::HeapEventQueue, EventQueue};
 use dibs_engine::rng::SimRng;
 use dibs_engine::time::{SimDuration, SimTime};

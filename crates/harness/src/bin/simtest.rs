@@ -13,21 +13,25 @@
 //! runs it three times (traced parallel, untraced sequential, untraced
 //! parallel re-execution), and checks four invariants: packet conservation,
 //! no post-TTL detour loops, clock monotonicity, and byte-identical digests
-//! across all three executions. Exit status is nonzero if any case fails.
+//! across all three executions. Exit status is 1 if any case fails and 2
+//! on a malformed command line.
 
 use dibs_harness::simtest::{run_soak, SoakConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "Usage: simtest [--smoke] [--seeds N] [--jobs N]";
 
+/// Reports a malformed command line and yields exit status 2.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}\n{USAGE}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     let jobs = match dibs_harness::jobs(&mut raw, |key| std::env::var(key).ok()) {
         Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
 
     let mut cfg = SoakConfig::full(jobs);
@@ -37,19 +41,13 @@ fn main() -> ExitCode {
             "--smoke" => cfg = SoakConfig::smoke(jobs),
             "--seeds" => match args.next().map(|s| s.parse::<u64>()) {
                 Some(Ok(n)) if n >= 1 => cfg.seeds = n,
-                _ => {
-                    eprintln!("--seeds needs a positive number\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
+                _ => return usage_error("--seeds needs a positive number"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("unknown option `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            other => return usage_error(&format!("unknown option `{other}`")),
         }
     }
 

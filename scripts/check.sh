@@ -33,8 +33,18 @@ if [[ $quick -eq 0 ]]; then
     if [[ $full -eq 1 ]]; then
         echo "==> cargo test --workspace (full: tier-1 + tier-2)"
         cargo test --workspace --offline -q -- --include-ignored
-        echo "==> perf_hotpath --smoke (hot-path bench suite, CI-sized)"
-        cargo run -q -p dibs-bench --release --offline --bin perf_hotpath -- --smoke
+        echo "==> perfbench (paper workload, traced, 1 s: every run checked)"
+        # Built as perfbench/run.py builds it. perfbench exits 0 even when a
+        # simulation fails its checks, so the verdict is its last line.
+        CARGO_TARGET_DIR=.bench_build cargo build -q --release --offline \
+            --manifest-path perfbench/Cargo.toml
+        verdict=$(.bench_build/release/dibs-perfbench --workload paper --seed 1 \
+            --seconds 1 --trace 1 | tail -n 1)
+        if [[ $verdict != *'"correct": true'* || $verdict != *'"failed": 0,'* ]]; then
+            echo "FAIL: perfbench reported an incorrect run: $verdict" >&2
+            exit 1
+        fi
+        echo "    every perfbench simulation correct, none failed"
         echo "==> simtest --smoke (64-seed fault-injection soak)"
         cargo run -q -p dibs-harness --release --offline --bin simtest -- --smoke
         echo "==> trace smoke (traced incast: valid Chrome JSON, digest unchanged)"
