@@ -155,10 +155,68 @@ impl FromJson for TopologySpec {
     }
 }
 
+/// Most `nodes × hosts` a topology may have. Routing keeps a distance and
+/// a next-hop offset for every (node, destination host) pair, so this
+/// bounds its tables near 1 GB; a K=32 fat-tree (78M) fits.
+const MAX_NODES_TIMES_HOSTS: u128 = 1 << 27;
+
 impl TopologySpec {
-    /// Checks the builder's preconditions, so a bad shape is a scenario
-    /// error instead of a panic inside the builder.
-    fn check(&self) -> Result<(), ScenarioError> {
+    /// `nodes × hosts` of the shape, computed from its parameters alone
+    /// (saturating, so absurd inputs stay comparable). A jellyfish counts
+    /// its degree in place of hosts when that is larger, since it wires
+    /// `switches × degree` ports.
+    fn nodes_times_hosts(&self) -> u128 {
+        let n = |x: usize| x as u128;
+        let (switches, hosts) = match *self {
+            TopologySpec::FatTree { k, .. } => {
+                let k = n(k);
+                ((k * k / 4).saturating_mul(5), k.saturating_mul(k * k) / 4)
+            }
+            TopologySpec::MiniTestbed => (5, 6),
+            TopologySpec::SingleSwitch { hosts } => (1, n(hosts)),
+            TopologySpec::Jellyfish {
+                switches,
+                degree,
+                hosts_per_switch,
+            } => (
+                n(switches),
+                n(switches)
+                    .saturating_mul(n(hosts_per_switch))
+                    .max(n(degree)),
+            ),
+            TopologySpec::Hyperx {
+                ref shape,
+                hosts_per_switch,
+            } => {
+                let switches = shape.iter().fold(1, |p: u128, &d| p.saturating_mul(n(d)));
+                (switches, switches.saturating_mul(n(hosts_per_switch)))
+            }
+            TopologySpec::Linear {
+                switches,
+                hosts_per_switch,
+            } => (n(switches), n(switches).saturating_mul(n(hosts_per_switch))),
+            TopologySpec::Dumbbell { hosts_per_side, .. } => (2, 2 * n(hosts_per_side)),
+        };
+        switches.saturating_add(hosts).saturating_mul(hosts.max(1))
+    }
+
+    /// Checks the builder's preconditions and the size budget, so a bad
+    /// shape is a scenario error instead of a panic or an aborted
+    /// allocation inside the builder. Runs on the spec's parameters alone,
+    /// before anything is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError`] naming the violated precondition, or the
+    /// shape's size when it exceeds the budget.
+    pub fn check(&self) -> Result<(), ScenarioError> {
+        let size = self.nodes_times_hosts();
+        if size > MAX_NODES_TIMES_HOSTS {
+            return Err(ScenarioError(format!(
+                "topology too large: nodes × hosts is {size}, above the limit of \
+                 {MAX_NODES_TIMES_HOSTS}"
+            )));
+        }
         let problem = match *self {
             TopologySpec::FatTree { k, .. } if k < 2 || !k.is_multiple_of(2) => {
                 format!("fat_tree k must be even and at least 2, got {k}")
@@ -199,7 +257,8 @@ impl TopologySpec {
     /// Returns [`ScenarioError`] when the shape violates the builder's
     /// preconditions (an odd fat-tree `k`, a jellyfish degree not below the
     /// switch count, an empty hyperx shape, a linear chain of no switches,
-    /// a zero-rate link).
+    /// a zero-rate link) or is too large to route (see
+    /// [`TopologySpec::check`]).
     pub fn build(&self, seed: u64) -> Result<Topology, ScenarioError> {
         self.check()?;
         let gbit = LinkSpec::gbit(1);
@@ -412,6 +471,11 @@ impl FromJson for WorkloadSpec {
     }
 }
 
+/// The largest millisecond count the nanosecond clock holds.
+const MAX_MS: u64 = u64::MAX / 1_000_000;
+/// The largest microsecond count the nanosecond clock holds.
+const MAX_US: u64 = u64::MAX / 1_000;
+
 /// A scenario error with context.
 #[derive(Debug)]
 pub struct ScenarioError(pub String);
@@ -430,13 +494,45 @@ impl Scenario {
         FromJson::from_json(&v).map_err(|e| ScenarioError(e.0))
     }
 
-    /// The configured horizon.
+    /// The configured horizon, saturating at [`SimTime::MAX`] (which
+    /// [`Scenario::sim_config`] rejects).
     pub fn horizon(&self) -> SimTime {
-        SimTime::from_millis(self.duration_ms + self.drain_ms)
+        let ms = self.duration_ms.saturating_add(self.drain_ms);
+        SimTime::from_nanos(ms.saturating_mul(1_000_000))
     }
 
-    /// Resolves scheme + overrides into a `SimConfig`.
+    /// Resolves scheme + overrides into a `SimConfig`, rejecting every
+    /// time field that would overflow the nanosecond clock.
     pub fn sim_config(&self) -> Result<dibs::SimConfig, ScenarioError> {
+        let too_long = |field: &str, ms: u64| {
+            if ms > MAX_MS {
+                Err(ScenarioError(format!(
+                    "{field} must be at most {MAX_MS} ms"
+                )))
+            } else {
+                Ok(())
+            }
+        };
+        too_long(
+            "duration_ms + drain_ms",
+            self.duration_ms.saturating_add(self.drain_ms),
+        )?;
+        for wl in &self.workloads {
+            match *wl {
+                WorkloadSpec::Background { interarrival_ms } => {
+                    too_long("interarrival_ms", interarrival_ms)?;
+                }
+                WorkloadSpec::Incast { at_ms, .. } | WorkloadSpec::Flow { at_ms, .. } => {
+                    too_long("at_ms", at_ms)?;
+                }
+                _ => {}
+            }
+        }
+        if self.overrides.min_rto_us.is_some_and(|us| us > MAX_US) {
+            return Err(ScenarioError(format!(
+                "min_rto_us must be at most {MAX_US} us"
+            )));
+        }
         let mut cfg = match self.scheme {
             Scheme::Dctcp => dibs::SimConfig::dctcp_baseline(),
             Scheme::DctcpDibs => dibs::SimConfig::dctcp_dibs(),
@@ -680,6 +776,9 @@ mod tests {
             let spec = TopologySpec::from_json(&Json::parse(json).unwrap()).unwrap();
             let topo = spec.build(7).unwrap();
             assert_eq!(topo.num_hosts(), hosts, "{json}");
+            // The size check counts what the builder makes.
+            let size = u128::try_from(topo.num_nodes() * hosts).unwrap();
+            assert_eq!(spec.nodes_times_hosts(), size, "{json}");
             assert!(topo.validate().is_ok());
         }
     }
@@ -716,6 +815,24 @@ mod tests {
             (
                 r#"{ "type": "dumbbell", "hosts_per_side": 2, "bottleneck_gbps": 0 }"#,
                 "bottleneck_gbps",
+            ),
+            // 180,048 nodes × 170,368 hosts: its routing distance table
+            // alone would need 61 GB.
+            (
+                r#"{ "type": "fat_tree", "k": 88 }"#,
+                "nodes × hosts is 30674417664",
+            ),
+            (
+                r#"{ "type": "fat_tree", "k": 18446744073709551614 }"#,
+                "too large",
+            ),
+            (
+                r#"{ "type": "single_switch", "hosts": 18446744073709551615 }"#,
+                "too large",
+            ),
+            (
+                r#"{ "type": "jellyfish", "switches": 100000, "degree": 99999, "hosts_per_switch": 0 }"#,
+                "too large",
             ),
         ] {
             let spec = TopologySpec::from_json(&Json::parse(json).unwrap()).unwrap();

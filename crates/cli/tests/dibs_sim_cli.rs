@@ -59,6 +59,13 @@ fn unbuildable_scenarios_exit_1_with_a_message() {
         r#"{ "topology": { "type": "fat_tree", "k": 3 }, "workloads": [] }"#,
     );
     assert_fails(&[&odd], 1, "fat_tree k must be even");
+    // Rejected from its parameters, before routing tables of 61 GB are
+    // allocated (which aborted the process).
+    let huge = scenario_file(
+        "dibs_sim_cli_fat_tree_k88.json",
+        r#"{ "topology": { "type": "fat_tree", "k": 88 }, "workloads": [] }"#,
+    );
+    assert_fails(&[&huge], 1, "nodes × hosts is 30674417664");
     let truncated = scenario_file("dibs_sim_cli_truncated.json", "{");
     assert_fails(&[&truncated], 1, "dibs_sim_cli_truncated.json");
 }

@@ -71,8 +71,8 @@ enum Event {
     Fault(u32),
 }
 
-// Events carry packet handles, not packets: keep an event (and with it a
-// timing-wheel node) small.
+// Events carry packet handles, not packets: keep an event (and with it an
+// event-queue entry) small.
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 /// The state of one directed port of any node, at `port_offsets[node] +

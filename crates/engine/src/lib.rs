@@ -100,8 +100,11 @@ impl<E> Engine<E> {
     }
 
     /// Schedules `event` after a delay.
+    ///
+    /// Events a recurring delay apart share a FIFO lane of the queue (see
+    /// [`EventQueue::push_after`]), the cheapest way to schedule.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.queue.push(self.now + delay, event);
+        self.queue.push_after(self.now, delay, event);
         self.note_pending();
     }
 
@@ -152,7 +155,8 @@ impl<E> Engine<E> {
         self.high_watermark
     }
 
-    /// Direct access to the event queue (mainly for benchmarks).
+    /// Direct access to the event queue: to pre-size it before a run, or
+    /// to drain what the horizon left pending after one.
     pub fn queue_mut(&mut self) -> &mut EventQueue<E> {
         &mut self.queue
     }
@@ -207,6 +211,34 @@ mod tests {
         // A smaller later burst does not raise it.
         e.schedule_in(SimDuration::from_millis(1), 4);
         assert_eq!(e.high_watermark(), 3);
+    }
+
+    #[test]
+    fn schedule_in_after_the_clock_parks_at_the_horizon() {
+        let mut e: Engine<u32> = Engine::new();
+        e.schedule_in(SimDuration::from_millis(1), 1);
+        e.schedule_at(SimTime::from_millis(3), 3);
+        e.set_horizon(SimTime::from_millis(2));
+        assert_eq!(e.next_event(), Some(1));
+        assert_eq!(e.next_event(), None);
+        assert_eq!(e.now(), SimTime::from_millis(2));
+        // The parked clock is where the next delay counts from, and the
+        // same delay's lane still accepts the push.
+        e.schedule_in(SimDuration::from_millis(1), 4);
+        e.schedule_in(SimDuration::from_micros(500), 2);
+        e.set_horizon(SimTime::MAX);
+        let mut order = Vec::new();
+        while let Some(ev) = e.next_event() {
+            order.push((e.now(), ev));
+        }
+        assert_eq!(
+            order,
+            [
+                (SimTime::from_micros(2_500), 2),
+                (SimTime::from_millis(3), 3),
+                (SimTime::from_millis(3), 4),
+            ]
+        );
     }
 
     #[test]

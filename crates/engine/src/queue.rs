@@ -1,100 +1,84 @@
-//! The future-event list: a hierarchical timing wheel.
+//! The future-event list: FIFO delay lanes merged with a binary heap.
 //!
 //! # Ordering contract
 //!
 //! Events pop in ascending `(time, seq)` order, where `seq` is a monotone
 //! per-queue sequence number assigned at push: nondecreasing time, FIFO
 //! among events scheduled for the same instant. This is the total order
-//! every deterministic run depends on, and it is byte-identical to the
-//! binary-heap implementation this wheel replaced (kept in [`heap`] as the
-//! differential-test oracle).
-//!
-//! In exchange for near-O(1) schedule/pop the wheel requires what the
-//! engine already guarantees: **no event may be scheduled earlier than the
-//! time of the most recently popped event** (the simulation clock never
-//! runs backwards). Debug builds assert this on every push; the old heap
-//! accepted such pushes only to trip its own pop-order audit one pop later.
+//! every deterministic run depends on. [`heap`] implements the same order
+//! independently, as the differential-test oracle.
 //!
 //! # Layout
 //!
-//! Eleven levels of 64 slots cover the full 64-bit nanosecond clock, each
-//! level spanning 6 more bits of the timestamp. An event lands in the level
-//! where its timestamp first diverges from `elapsed` (the last popped
-//! time), so imminent events sit in level 0 — where each occupied slot
-//! holds exactly one timestamp and pops are a bitmap scan plus an
-//! unlink. Popping past a higher-level slot *cascades* it: the slot's
-//! events redistribute into strictly lower levels, preserving push order,
-//! so each event cascades at most `LEVELS - 1` times over its life.
+//! Most events of a packet simulation are scheduled a fixed delay after
+//! the current time: a link's propagation delay, or a packet's
+//! serialization time at a port's rate. [`EventQueue::push_after`] appends
+//! such an event to a FIFO *lane* keyed by its delay. A lane accepts an
+//! event only at or after its tail's time, so every lane is sorted by
+//! `(time, seq)` by construction, whatever clock the caller keeps. A push
+//! that no lane of its delay accepts claims an empty lane; when none is
+//! free it goes to a binary heap, as does every absolute-time
+//! [`EventQueue::push`].
 //!
-//! Storage is a node slab with intrusive per-slot FIFO chains: events are
-//! written once on push and read once on pop, and a cascade relinks nodes
-//! (one index write each) instead of moving entries between containers.
+//! Each source caches its head's `(time, seq)` packed into one `u128`, so
+//! a pop is an argmin over `LANES + 1` integers plus one ring-buffer or
+//! heap pop.
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// Bits of timestamp consumed per wheel level. Six bits keeps the
-/// occupancy bitmaps in single machine words; wider levels (7 bits,
-/// `u128` masks) measured slower end to end.
-const SLOT_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Levels; `11 * 6 = 66 >= 64` bits covers any `SimTime`.
-const LEVELS: usize = 11;
-/// Per-level occupancy bitmap type; must hold `SLOTS` bits.
-type SlotMask = u64;
+/// Delay lanes: enough for a fat-tree's link delay plus data and ack
+/// serialization at two port rates. Every lane adds a compare to each push
+/// and pop, and a delay with no lane of its own still pops in order, from
+/// the heap.
+const LANES: usize = 5;
 
-/// Sentinel node index: "no node" in slot chains and the free list.
-const NIL: u32 = u32::MAX;
+/// Cached head key of an empty source. Above every real key, whose `seq`
+/// half never reaches `u64::MAX`.
+const EMPTY: u128 = u128::MAX;
 
-struct Node<E> {
-    time: SimTime,
-    /// Insertion order, read only by the debug pop-order audit: FIFO
-    /// tie-breaking is structural (per-slot chains appended at the tail),
-    /// so release builds drop the field entirely.
-    #[cfg(debug_assertions)]
-    seq: u64,
-    /// Next node in this slot's FIFO chain, or in the free list.
-    next: u32,
-    /// `None` only while the node sits on the free list.
-    event: Option<E>,
+/// Most events [`EventQueue::reserve`] pre-sizes the heap for.
+const RESERVE_CAP: usize = 1 << 13;
+
+/// `(time, seq)` packed so that integer order is pop order.
+#[inline]
+fn key(time: SimTime, seq: u64) -> u128 {
+    (u128::from(time.as_nanos()) << 64) | u128::from(seq)
 }
 
-/// The wheel level at which `t` first diverges from `elapsed`.
+/// The `(time, seq)` a key packs.
 #[inline]
-fn level_for(elapsed: u64, t: u64) -> usize {
-    let diff = elapsed ^ t;
-    if diff == 0 {
-        0
-    } else {
-        ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
+fn unpack(key: u128) -> (SimTime, u64) {
+    // Each half holds a u64 by construction.
+    #[allow(clippy::cast_possible_truncation)]
+    (SimTime::from_nanos((key >> 64) as u64), key as u64)
+}
+
+struct Keyed<E> {
+    key: u128,
+    event: E,
+}
+
+impl<E> PartialEq for Keyed<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl<E> Eq for Keyed<E> {}
+
+impl<E> PartialOrd for Keyed<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
-/// The slot within `level` that holds timestamp `t`.
-#[inline]
-fn slot_of(t: u64, level: usize) -> usize {
-    // Bounded by construction: the shift is at most 60 and the masked
-    // value is below SLOTS.
-    #[allow(clippy::cast_possible_truncation)]
-    {
-        ((t >> (level as u32 * SLOT_BITS)) & (SLOTS as u64 - 1)) as usize
+impl<E> Ord for Keyed<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: `BinaryHeap` is a max-heap and the smallest key pops
+        // first.
+        other.key.cmp(&self.key)
     }
-}
-
-/// The earliest timestamp that maps to `(level, slot)` given the current
-/// `elapsed` (the slot's high bits come from `elapsed`, everything below
-/// the slot's own bits is zero).
-#[inline]
-fn slot_start(elapsed: u64, level: usize, slot: usize) -> u64 {
-    // `level` is below LEVELS (11), so the cast and shift are in range.
-    #[allow(clippy::cast_possible_truncation)]
-    let lsh = level as u32 * SLOT_BITS;
-    let high = if lsh + SLOT_BITS >= 64 {
-        0
-    } else {
-        (elapsed >> (lsh + SLOT_BITS)) << (lsh + SLOT_BITS)
-    };
-    high | ((slot as u64) << lsh)
 }
 
 /// A deterministic future-event list.
@@ -106,41 +90,33 @@ fn slot_start(elapsed: u64, level: usize, slot: usize) -> u64 {
 ///
 /// ```
 /// use dibs_engine::queue::EventQueue;
-/// use dibs_engine::time::SimTime;
+/// use dibs_engine::time::{SimDuration, SimTime};
 ///
 /// let mut q = EventQueue::new();
 /// q.push(SimTime::from_millis(2), "late");
-/// q.push(SimTime::from_millis(1), "early");
+/// q.push_after(SimTime::ZERO, SimDuration::from_millis(1), "early");
 /// assert_eq!(q.pop(), Some((SimTime::from_millis(1), "early")));
 /// assert_eq!(q.pop(), Some((SimTime::from_millis(2), "late")));
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// Node slab: every pending event lives here; freed nodes chain into
-    /// `free_head` and are reused LIFO, so a pop-then-push cycle recycles
-    /// still-cache-hot memory. Slot membership is intrusive (`Node::next`),
-    /// so a cascade relinks nodes with one index write each instead of
-    /// moving ~100-byte entries between deques.
-    nodes: Vec<Node<E>>,
-    /// Head of the free list (`NIL` when every slab node is live).
-    free_head: u32,
-    /// Per-slot FIFO chain heads, level-major (`NIL` = empty).
-    head: [u32; LEVELS * SLOTS],
-    /// Per-slot FIFO chain tails, level-major (`NIL` = empty).
-    tail: [u32; LEVELS * SLOTS],
-    /// Per-level bitmap of nonempty slots.
-    occupied: [SlotMask; LEVELS],
-    /// Nanosecond timestamp of the most recent pop (0 initially): the
-    /// reference point every pending event is placed relative to.
-    elapsed: u64,
+    /// Head key of each source, `EMPTY` when it holds nothing: the lanes
+    /// first, the heap last.
+    heads: [u128; LANES + 1],
+    /// The delay each lane files; stale once the lane empties.
+    delays: [u64; LANES],
+    /// Time of each lane's newest event, the least time a push may join at.
+    tails: [u64; LANES],
+    lanes: [VecDeque<Keyed<E>>; LANES],
+    heap: BinaryHeap<Keyed<E>>,
     len: usize,
+    /// Sequence number of the next push, which is also the count of pushes.
     next_seq: u64,
-    pushed: u64,
     popped: u64,
-    /// `(time, seq)` of the most recent pop, for the debug-build audit
-    /// that dispatch order is strictly increasing.
+    /// Key of the most recent pop, for the debug-build audit that
+    /// dispatch order is strictly increasing.
     #[cfg(debug_assertions)]
-    last_popped: Option<(SimTime, u64)>,
+    last_popped: Option<u128>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -153,15 +129,13 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            nodes: Vec::new(),
-            free_head: NIL,
-            head: [NIL; LEVELS * SLOTS],
-            tail: [NIL; LEVELS * SLOTS],
-            occupied: [0; LEVELS],
-            elapsed: 0,
+            heads: [EMPTY; LANES + 1],
+            delays: [0; LANES],
+            tails: [0; LANES],
+            lanes: std::array::from_fn(|_| VecDeque::new()),
+            heap: BinaryHeap::new(),
             len: 0,
             next_seq: 0,
-            pushed: 0,
             popped: 0,
             #[cfg(debug_assertions)]
             last_popped: None,
@@ -176,80 +150,59 @@ impl<E> EventQueue<E> {
         q
     }
 
-    /// Pre-sizes the node slab for an expected pending-event population
-    /// of `expected_events`, so the steady-state hot path never grows it.
+    /// Pre-sizes the heap for `expected_events` pending events, so the
+    /// steady-state hot path rarely grows it.
     ///
-    /// The slab holds only *concurrently pending* events (popped nodes are
-    /// recycled), so callers may pass a whole run's event count: the hint
-    /// is capped at 64 Ki nodes, beyond any plausible pending set.
+    /// Only *concurrently pending* events occupy space, so callers may
+    /// pass a whole run's event count: the hint is capped at 8 Ki events.
+    /// The heap holds the deep backlog (timers, flow starts: ~4.7 Ki at
+    /// the peak of a K=8 fat-tree run); the lanes stay a few hundred deep
+    /// and grow on their own, compact enough to stay cache-resident.
     pub fn reserve(&mut self, expected_events: usize) {
-        let want = expected_events.min(1 << 16);
-        let spare = self.nodes.capacity() - self.nodes.len();
-        if spare < want {
-            self.nodes.reserve(want - spare);
-        }
+        let want = expected_events.min(RESERVE_CAP);
+        self.heap.reserve(want.saturating_sub(self.heap.len()));
     }
 
-    /// Takes a node off the free list (or grows the slab) and writes
-    /// `node` into it, returning its index.
+    /// Assigns the next `(time, seq)` key and counts the push.
     #[inline]
-    fn alloc(&mut self, node: Node<E>) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            let cell = &mut self.nodes[idx as usize];
-            self.free_head = cell.next;
-            *cell = node;
-            idx
-        } else {
-            let Ok(idx) = u32::try_from(self.nodes.len()) else {
-                unreachable!("more than u32::MAX pending events")
-            };
-            self.nodes.push(node);
-            idx
-        }
-    }
-
-    /// Appends node `idx` to the FIFO chain of the slot its timestamp maps
-    /// to under the current `elapsed`. Callers always link in ascending
-    /// `seq` order, which is what keeps every chain FIFO.
-    #[inline]
-    fn link(&mut self, idx: u32) {
-        let t = self.nodes[idx as usize].time.as_nanos();
-        debug_assert!(
-            t >= self.elapsed,
-            "event scheduled at {t} ns, before the last popped time {} ns",
-            self.elapsed,
-        );
-        let level = level_for(self.elapsed, t);
-        let slot = slot_of(t, level);
-        let li = level * SLOTS + slot;
-        let tail = self.tail[li];
-        if tail == NIL {
-            self.head[li] = idx;
-        } else {
-            self.nodes[tail as usize].next = idx;
-        }
-        self.tail[li] = idx;
-        self.nodes[idx as usize].next = NIL;
-        self.occupied[level] |= (1 as SlotMask) << slot;
+    fn next_key(&mut self, time: SimTime) -> u128 {
+        let k = key(time, self.next_seq);
+        self.next_seq += 1;
+        self.len += 1;
+        k
     }
 
     /// Schedules `event` to fire at `time`.
-    ///
-    /// `time` must not precede the most recently popped event's time (the
-    /// simulation clock); debug builds assert it.
     pub fn push(&mut self, time: SimTime, event: E) {
-        self.next_seq += 1;
-        self.pushed += 1;
-        self.len += 1;
-        let idx = self.alloc(Node {
-            time,
-            #[cfg(debug_assertions)]
-            seq: self.next_seq - 1,
-            next: NIL,
-            event: Some(event),
-        });
-        self.link(idx);
+        let key = self.next_key(time);
+        self.heads[LANES] = self.heads[LANES].min(key);
+        self.heap.push(Keyed { key, event });
+    }
+
+    /// Schedules `event` to fire `delay` after `now`: the same order as
+    /// `push(now + delay, event)`, filed in the lane for `delay` when one
+    /// accepts it.
+    pub fn push_after(&mut self, now: SimTime, delay: SimDuration, event: E) {
+        let time = now + delay;
+        let (t, d) = (time.as_nanos(), delay.as_nanos());
+        // An emptied lane keeps its delay and tail, so it may be rejoined
+        // here or claimed below.
+        let i = match (0..LANES).find(|&i| self.delays[i] == d && self.tails[i] <= t) {
+            Some(i) => i,
+            None => match (0..LANES).find(|&i| self.heads[i] == EMPTY) {
+                Some(i) => {
+                    self.delays[i] = d;
+                    i
+                }
+                None => return self.push(time, event),
+            },
+        };
+        let key = self.next_key(time);
+        if self.heads[i] == EMPTY {
+            self.heads[i] = key;
+        }
+        self.tails[i] = t;
+        self.lanes[i].push_back(Keyed { key, event });
     }
 
     /// Removes and returns the earliest event, if any.
@@ -265,132 +218,63 @@ impl<E> EventQueue<E> {
     /// `None` (without popping) when the queue is empty or the head lies
     /// beyond the horizon.
     ///
-    /// One wheel walk instead of the `peek_time` + `pop` pair, which is
+    /// One head scan instead of the `peek_time` + `pop` pair, which is
     /// what the engine's dispatch loop runs per event.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         self.pop_impl(horizon.as_nanos())
     }
 
+    /// The source holding the earliest event, and that event's key.
+    #[inline]
+    fn head(&self) -> (usize, u128) {
+        let mut src = LANES;
+        let mut head = self.heads[LANES];
+        for (i, &k) in self.heads[..LANES].iter().enumerate() {
+            if k < head {
+                head = k;
+                src = i;
+            }
+        }
+        (src, head)
+    }
+
     fn pop_impl(&mut self, horizon: u64) -> Option<(SimTime, E)> {
-        if self.len == 0 {
+        let (src, head) = self.head();
+        if self.len == 0 || unpack(head).0.as_nanos() > horizon {
             return None;
         }
-        loop {
-            // Fast path: level 0, where every occupied slot holds exactly
-            // one timestamp and the lowest set bit is the earliest.
-            if self.occupied[0] != 0 {
-                let slot = self.occupied[0].trailing_zeros() as usize;
-                let idx = self.head[slot];
-                debug_assert_ne!(idx, NIL, "occupied bit set for empty slot");
-                let time = self.nodes[idx as usize].time;
-                if time.as_nanos() > horizon {
-                    return None;
-                }
-                let next = self.nodes[idx as usize].next;
-                self.head[slot] = next;
-                if next == NIL {
-                    self.tail[slot] = NIL;
-                    self.occupied[0] &= !((1 as SlotMask) << slot);
-                }
-                let Some(event) = self.nodes[idx as usize].event.take() else {
-                    unreachable!("linked node carries no event")
-                };
-                self.nodes[idx as usize].next = self.free_head;
-                self.free_head = idx;
-                self.len -= 1;
-                self.popped += 1;
-                self.elapsed = time.as_nanos();
-                #[cfg(debug_assertions)]
-                {
-                    let seq = self.nodes[idx as usize].seq;
-                    assert!(
-                        self.last_popped.is_none_or(|last| last < (time, seq)),
-                        "event queue popped out of (time, seq) order: {:?} after {:?}",
-                        (time, seq),
-                        self.last_popped,
-                    );
-                    self.last_popped = Some((time, seq));
-                }
-                return Some((time, event));
-            }
-
-            // Cascade: relink the earliest occupied higher-level slot's
-            // chain into strictly lower levels and retry. Nodes stay put
-            // in the slab; only their `next` links and the slot head/tail
-            // indices change.
-            let Some(level) = (1..LEVELS).find(|&l| self.occupied[l] != 0) else {
-                unreachable!("len > 0 but no occupied slot")
-            };
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            let li = level * SLOTS + slot;
-            if horizon < u64::MAX {
-                // A blocked pop must not mutate (a cascade advances
-                // `elapsed` past the last popped time, which would reject
-                // still-legal pushes), so decide from the slot's time span
-                // before touching it; only when the horizon cuts through
-                // the span does the slot's actual minimum matter.
-                let start = slot_start(self.elapsed, level, slot);
-                if start > horizon {
-                    return None;
-                }
-                #[allow(clippy::cast_possible_truncation)]
-                let span = 1u64 << (level as u32 * SLOT_BITS);
-                if start.saturating_add(span - 1) > horizon {
-                    let mut min_t = u64::MAX;
-                    let mut walk = self.head[li];
-                    while walk != NIL {
-                        let n = &self.nodes[walk as usize];
-                        min_t = min_t.min(n.time.as_nanos());
-                        walk = n.next;
-                    }
-                    if min_t > horizon {
-                        return None;
-                    }
-                }
-            }
-            let mut walk = self.head[li];
-            self.head[li] = NIL;
-            self.tail[li] = NIL;
-            self.occupied[level] &= !((1 as SlotMask) << slot);
-            // Advancing to the slot's start keeps `elapsed` at or below
-            // every pending event, and relinking lands each node in a
-            // strictly lower level, so the loop terminates. Walking in
-            // chain order and appending preserves FIFO within each target
-            // slot.
-            self.elapsed = slot_start(self.elapsed, level, slot);
-            while walk != NIL {
-                let next = self.nodes[walk as usize].next;
-                self.link(walk);
-                walk = next;
-            }
+        let popped = if src == LANES {
+            let popped = self.heap.pop();
+            self.heads[LANES] = self.heap.peek().map_or(EMPTY, |e| e.key);
+            popped
+        } else {
+            let lane = &mut self.lanes[src];
+            let popped = lane.pop_front();
+            self.heads[src] = lane.front().map_or(EMPTY, |e| e.key);
+            popped
+        };
+        let Some(Keyed { key, event }) = popped else {
+            unreachable!("a source with a head key holds no event")
+        };
+        debug_assert_eq!(key, head, "cached head key is stale");
+        self.len -= 1;
+        self.popped += 1;
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                self.last_popped.is_none_or(|last| last < key),
+                "event queue popped out of (time, seq) order: {:?} after {:?}",
+                unpack(key),
+                self.last_popped.map(unpack),
+            );
+            self.last_popped = Some(key);
         }
+        Some((unpack(key).0, event))
     }
 
     /// The timestamp of the earliest pending event.
-    ///
-    /// Non-mutating: when the head sits in a higher-level slot this scans
-    /// that one slot for its minimum (the subsequent `pop` cascades the
-    /// same slot, so the scan amortizes away).
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.occupied[0] != 0 {
-            let slot = self.occupied[0].trailing_zeros() as usize;
-            let idx = self.head[slot];
-            debug_assert_ne!(idx, NIL, "occupied bit set for empty slot");
-            return Some(self.nodes[idx as usize].time);
-        }
-        let level = (1..LEVELS).find(|&l| self.occupied[l] != 0)?;
-        let slot = self.occupied[level].trailing_zeros() as usize;
-        let mut min_t: Option<SimTime> = None;
-        let mut walk = self.head[level * SLOTS + slot];
-        while walk != NIL {
-            let n = &self.nodes[walk as usize];
-            min_t = Some(min_t.map_or(n.time, |m: SimTime| m.min(n.time)));
-            walk = n.next;
-        }
-        min_t
+        (self.len > 0).then(|| unpack(self.head().1).0)
     }
 
     /// Number of pending events.
@@ -405,7 +289,7 @@ impl<E> EventQueue<E> {
 
     /// Total events ever scheduled.
     pub fn total_pushed(&self) -> u64 {
-        self.pushed
+        self.next_seq
     }
 
     /// Total events ever dispatched.
@@ -415,16 +299,15 @@ impl<E> EventQueue<E> {
 
     /// Discards all pending events.
     ///
-    /// Also resets the clock reference and the pop-order audit: a cleared
-    /// queue may be reused for a fresh timeline starting at time zero.
+    /// Also resets the pop-order audit: a cleared queue may be reused for
+    /// a fresh timeline starting at time zero.
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free_head = NIL;
-        self.head = [NIL; LEVELS * SLOTS];
-        self.tail = [NIL; LEVELS * SLOTS];
-        self.occupied = [0; LEVELS];
+        for lane in &mut self.lanes {
+            lane.clear();
+        }
+        self.heap.clear();
+        self.heads = [EMPTY; LANES + 1];
         self.len = 0;
-        self.elapsed = 0;
         #[cfg(debug_assertions)]
         {
             self.last_popped = None;
@@ -432,10 +315,10 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The binary-heap future-event list the timing wheel replaced.
+/// An independent binary-heap future-event list.
 ///
-/// Kept as the reference implementation for differential tests: its pop
-/// order is the specification the wheel must reproduce exactly.
+/// The reference implementation for differential tests: its pop order is
+/// the specification [`EventQueue`] must reproduce exactly.
 pub mod heap {
     use crate::time::SimTime;
     use std::cmp::Ordering;
@@ -472,7 +355,7 @@ pub mod heap {
     }
 
     /// A deterministic future-event list over `BinaryHeap`, ordered by
-    /// `(time, seq)` with FIFO tie-breaking — the wheel's oracle.
+    /// `(time, seq)` with FIFO tie-breaking — [`EventQueue`](super::EventQueue)'s oracle.
     pub struct HeapEventQueue<E> {
         heap: BinaryHeap<Entry<E>>,
         next_seq: u64,
@@ -594,11 +477,11 @@ mod tests {
 
     #[test]
     fn crosses_level_boundaries_in_order() {
-        // Timestamps straddling every wheel level boundary, pushed in a
-        // scrambled order, must still pop sorted.
+        // Timestamps straddling every power of 64 across the 64-bit clock,
+        // pushed in a scrambled order, must still pop sorted.
         let mut times = Vec::new();
-        for level in 0..u32::try_from(LEVELS).expect("LEVELS fits u32") {
-            let base = 1u64 << (level * SLOT_BITS);
+        for shift in (0..64).step_by(6) {
+            let base = 1u64 << shift;
             times.extend([base.wrapping_sub(1), base, base + 1, base + (base >> 1)]);
         }
         times.push(u64::MAX);
@@ -671,6 +554,40 @@ mod tests {
         q.reserve(1_000_000);
         q.push(SimTime::from_nanos(7), 1u8);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(7), 1)));
+    }
+
+    #[test]
+    fn lanes_guard_their_order_and_fall_back_to_the_heap() {
+        let mut q = EventQueue::new();
+        let d = SimDuration::from_nanos(100);
+        let at = SimTime::from_nanos;
+        // A push behind its lane's tail may not join it: it claims a free
+        // lane.
+        q.push_after(at(5_000), d, 0);
+        q.push_after(at(4_000), d, 1);
+        assert_eq!(q.lanes[0].len(), 1);
+        assert_eq!(q.lanes[1].len(), 1);
+        // One lane per further delay until they run out, then the heap.
+        for i in 2..LANES as u64 + 2 {
+            q.push_after(at(1_000), SimDuration::from_nanos(i), i);
+        }
+        assert!(q.heads[..LANES].iter().all(|&k| k != EMPTY));
+        assert_eq!(q.heap.len(), 2);
+        // Behind both of its lanes' tails, with none free: the heap.
+        q.push_after(at(3_000), d, 100);
+        assert_eq!(q.heap.len(), 3);
+        // A push at or after the tail joins the lane.
+        q.push_after(at(5_000), d, 101);
+        assert_eq!(q.lanes[0].len(), 2);
+        let mut popped = Vec::new();
+        while let Some((t, i)) = q.pop() {
+            popped.push((t.as_nanos(), i));
+        }
+        let mut sorted = popped.clone();
+        sorted.sort_unstable();
+        assert_eq!(popped, sorted);
+        assert_eq!(popped.len(), LANES + 4);
+        assert_eq!(q.heads, [EMPTY; LANES + 1]);
     }
 
     #[test]

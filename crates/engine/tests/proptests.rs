@@ -66,6 +66,53 @@ fn queue_pops_totally_ordered_by_time_then_seq() {
     });
 }
 
+/// `push_after(now, delay)` keeps the same total order as an absolute push
+/// at `now + delay`: pops strictly increase by `(time, seq)` whether an
+/// event sits in a delay lane or the heap, with `now` following the clock
+/// as the engine's does.
+#[test]
+fn push_after_pops_totally_ordered_by_time_then_seq() {
+    cases("queue-push-after-order", |rng, _| {
+        // Few distinct delays, some shared, so lanes collide and tie.
+        let delays = vec_of(rng, 1..10, |r| r.range_u64(0, 8) * 250);
+        let mut q = EventQueue::new();
+        let mut now = SimTime::ZERO;
+        // Time of each pushed event, indexed by its push order.
+        let mut times: Vec<SimTime> = Vec::new();
+        let mut prev: Option<(SimTime, usize)> = None;
+        let mut popped = 0;
+        let mut check = |t: SimTime, i: usize, times: &[SimTime]| {
+            assert_eq!(t, times[i], "event {i} popped at the wrong time");
+            assert!(
+                prev.is_none_or(|p| p < (t, i)),
+                "pop order not strictly increasing by (time, seq): {prev:?} then {:?}",
+                (t, i)
+            );
+            prev = Some((t, i));
+        };
+        for _ in 0..rng.range_u64(1, 400) {
+            if rng.chance(0.6) {
+                let delay = SimDuration::from_nanos(delays[rng.below(delays.len())]);
+                if rng.chance(0.8) {
+                    q.push_after(now, delay, times.len());
+                } else {
+                    q.push(now + delay, times.len());
+                }
+                times.push(now + delay);
+            } else if let Some((t, i)) = q.pop() {
+                check(t, i, &times);
+                now = t;
+                popped += 1;
+            }
+        }
+        while let Some((t, i)) = q.pop() {
+            check(t, i, &times);
+            popped += 1;
+        }
+        assert_eq!(popped, times.len(), "every event pops exactly once");
+    });
+}
+
 /// Serialization delay is monotone in size and antitone in rate.
 #[test]
 fn serialization_monotone() {

@@ -125,3 +125,120 @@ fn wheel_matches_heap_under_horizon_pops() {
         }
     }
 }
+
+#[test]
+fn lanes_match_heap_on_recurring_delays() {
+    // `push_after` against the oracle's `push(now + delay)`: a few
+    // recurring delays (the lanes' hot path) interleaved with absolute
+    // pushes and ties between the two, more distinct delays than the
+    // queue has lanes (lanes are claimed, emptied and reclaimed), pushes
+    // from a `now` ahead of the clock (later pushes of the same delay then
+    // fail their lane's tail guard), horizon pops and `clear()`.
+    const RECURRING: [u64; 3] = [1_000, 12_000, 512];
+    let mut rng = SimRng::new(0x1A7E_5EED);
+    let mut queue: EventQueue<u64> = EventQueue::new();
+    let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+    let mut clock = SimTime::ZERO;
+    let mut next_id = 0u64;
+    let mut pops = 0u64;
+    let mut lane_ties = 0u64;
+    let mut behind_tail = 0u64;
+    // Latest time pushed per rare delay `k * 300` ns, indexed by `k`, to
+    // count pushes behind a lane's tail.
+    let mut last_at = [SimTime::ZERO; 17];
+
+    for op in 0..400_000u64 {
+        // Schedules at `now + delay`, through a lane or as an absolute
+        // push.
+        let mut push = |now: SimTime, delay: u64, lane: bool| {
+            let delay = SimDuration::from_nanos(delay);
+            if lane {
+                queue.push_after(now, delay, next_id);
+            } else {
+                queue.push(now + delay, next_id);
+            }
+            heap.push(now + delay, next_id);
+            next_id += 1;
+        };
+        match rng.below(20) {
+            // A recurring delay from the clock, as `schedule_in` does.
+            0..=7 => {
+                push(clock, RECURRING[rng.below(RECURRING.len())], true);
+            }
+            // One of many rarer delays, some from a `now` ahead of the
+            // clock.
+            8..=9 => {
+                let k = rng.below(16) + 1;
+                let ahead = if rng.chance(0.5) {
+                    rng.range_u64(0, 5_000)
+                } else {
+                    0
+                };
+                let now = clock + SimDuration::from_nanos(ahead);
+                let at = now + SimDuration::from_nanos(k as u64 * 300);
+                if at < last_at[k] {
+                    behind_tail += 1;
+                }
+                last_at[k] = last_at[k].max(at);
+                push(now, k as u64 * 300, true);
+            }
+            // An absolute push, often tying a recurring delay's time.
+            10..=11 => {
+                let delay = if rng.chance(0.5) {
+                    lane_ties += 1;
+                    RECURRING[rng.below(RECURRING.len())]
+                } else {
+                    rng.range_u64(0, 1 << 20)
+                };
+                push(clock, delay, false);
+            }
+            // Pop, either plainly or up to a horizon.
+            12..=18 => {
+                let (a, b) = if rng.chance(0.5) {
+                    (queue.pop(), heap.pop())
+                } else {
+                    let horizon = clock + SimDuration::from_nanos(rng.range_u64(0, 4_000));
+                    let b = match heap.peek_time() {
+                        Some(t) if t <= horizon => heap.pop(),
+                        _ => None,
+                    };
+                    (queue.pop_at_or_before(horizon), b)
+                };
+                assert_eq!(a, b, "pop #{pops} diverged at op {op}");
+                if let Some((t, _)) = a {
+                    clock = t;
+                    pops += 1;
+                }
+                assert_eq!(queue.peek_time(), heap.peek_time());
+                assert_eq!(queue.len(), heap.len());
+            }
+            _ => {
+                if rng.chance(0.002) {
+                    queue.clear();
+                    heap.clear();
+                    clock = SimTime::ZERO;
+                    last_at = [SimTime::ZERO; 17];
+                }
+            }
+        }
+    }
+
+    loop {
+        let a = queue.pop();
+        let b = heap.pop();
+        assert_eq!(a, b, "drain diverged after {pops} pops");
+        if a.is_none() {
+            break;
+        }
+        pops += 1;
+    }
+    assert!(
+        pops > 100_000,
+        "workload too small to be meaningful: {pops}"
+    );
+    assert!(lane_ties > 10_000, "tie coverage too small: {lane_ties}");
+    assert!(
+        behind_tail > 1_000,
+        "tail-guard coverage too small: {behind_tail}"
+    );
+}

@@ -64,9 +64,10 @@ pub enum Rule {
     /// executor and reintroduce schedule-dependent output.
     ThreadSpawn,
     /// `BinaryHeap` in simulation crates outside `crates/engine`: the
-    /// engine's timing wheel (with its heap oracle) is the one sanctioned
-    /// priority queue; ad-hoc heaps reintroduce the O(log n) hot path and
-    /// risk unstable tie-breaking.
+    /// engine's `EventQueue` (delay lanes merged with one heap, checked
+    /// against its heap oracle) is the one sanctioned priority queue;
+    /// ad-hoc heaps put O(log n) pushes back on the hot path and risk
+    /// unstable tie-breaking.
     BinaryHeap,
     /// A dependency declared in `Cargo.toml` that no source file of the
     /// crate references.
@@ -476,10 +477,10 @@ pub fn scan_str(src: &str, ctx: &FileCtx) -> Vec<Finding> {
         if ctx.is_sim_crate() && trimmed.contains("BinaryHeap") {
             push(
                 Rule::BinaryHeap,
-                "BinaryHeap outside crates/engine; the engine's timing wheel is \
-                 the one sanctioned priority queue — schedule through \
-                 dibs_engine::EventQueue (the oracle heap in engine/queue.rs is \
-                 allowlisted)"
+                "BinaryHeap outside crates/engine; the engine's EventQueue (delay \
+                 lanes merged with one heap) is the one sanctioned priority queue — \
+                 schedule through dibs_engine::EventQueue (engine/queue.rs, which \
+                 holds it and its reference oracle, is allowlisted)"
                     .to_string(),
             );
         }
