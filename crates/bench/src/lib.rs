@@ -205,20 +205,8 @@ impl Harness {
         let (Some(_), Some(trace)) = (&self.trace, &results.trace) else {
             return;
         };
-        if let Err(e) = std::fs::create_dir_all(&self.out_dir) {
-            eprintln!("warning: cannot create {}: {e}", self.out_dir.display());
-            return;
-        }
-        let path = self.out_dir.join(format!("trace_{id}.json"));
-        match std::fs::write(&path, trace.chrome_trace().render_pretty()) {
-            Ok(()) => eprintln!(
-                "trace: {} events ({} observed, {} dropped) -> {} (open in chrome://tracing)",
-                trace.events.len(),
-                trace.observed,
-                trace.dropped,
-                path.display()
-            ),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+        match trace.write_chrome_trace(&self.out_dir.join(format!("trace_{id}.json"))) {
+            Ok(line) | Err(line) => eprintln!("{line}"),
         }
     }
 

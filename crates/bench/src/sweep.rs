@@ -10,7 +10,7 @@
 //! master seed, so every arm sees identical traffic.
 
 use crate::{timing, Harness, Scale};
-use dibs::presets::{fairness_sim, mixed_workload_sim, MixedWorkload};
+use dibs::presets::{fairness_sim, mixed_workload_on, mixed_workload_sim, MixedWorkload};
 use dibs::{EcmpMode, PfcConfig, RunDescriptor, RunResults, SimConfig, Simulation};
 use dibs_engine::rng::SimRng;
 use dibs_engine::time::{SimDuration, SimTime};
@@ -22,7 +22,7 @@ use dibs_net::topology::{LinkSpec, Topology};
 use dibs_stats::{ExperimentRecord, SeriesPoint};
 use dibs_switch::{BufferConfig, DibsPolicy};
 use dibs_transport::FastRetransmit;
-use dibs_workload::{BackgroundTraffic, QuerySpec, QueryTraffic};
+use dibs_workload::{round_robin_responders, QuerySpec};
 
 /// Builds one arm's simulation from `(x, seed, scale)`.
 type Build = Box<dyn Fn(f64, u64, Scale) -> Simulation + Sync>;
@@ -250,21 +250,11 @@ fn big_incast(mut config: SimConfig, degree: f64, _: Scale) -> Simulation {
     config.switch.buffer = BufferConfig::arista_like();
     config.horizon = SimTime::from_secs(5);
     let mut sim = Simulation::new(topo, config);
-    let mut rng = SimRng::new(config.seed).fork("big-incast");
-    let target = rng.below(hosts);
-    let responders: Vec<HostId> = (0..count(degree))
-        .map(|i| {
-            let mut hx = i % (hosts - 1);
-            if hx >= target {
-                hx += 1;
-            }
-            HostId::from_index(hx)
-        })
-        .collect();
+    let target = HostId::from_index(SimRng::new(config.seed).fork("big-incast").below(hosts));
     sim.add_queries(&[QuerySpec {
         start: SimTime::ZERO,
-        target: HostId::from_index(target),
-        responders,
+        target,
+        responders: round_robin_responders(hosts, target, count(degree)),
         response_bytes: 20_000,
     }]);
     sim
@@ -298,25 +288,14 @@ fn topology(index: usize) -> Topology {
 
 /// Incast (1000 qps, degree 40, 20 KB) over light background on the
 /// topology with index `index`.
-fn on_topology(mut cfg: SimConfig, index: f64, scale: Scale) -> Simulation {
+fn on_topology(cfg: SimConfig, index: f64, scale: Scale) -> Simulation {
     let topo = topology(count(index));
-    let hosts = topo.num_hosts();
-    cfg.horizon = SimTime::ZERO + scale.duration() + scale.drain();
-    let mut sim = Simulation::new(topo, cfg);
-    let root = SimRng::new(cfg.seed);
-    let background = BackgroundTraffic::paper(SimDuration::from_millis(120));
-    sim.add_flows(background.generate(
-        hosts,
-        scale.duration(),
-        &mut root.fork("workload/background"),
-    ));
-    let queries = QueryTraffic {
+    let workload = MixedWorkload {
         qps: 1000.0,
-        degree: 40.min(hosts - 1),
-        response_bytes: 20_000,
+        incast_degree: 40.min(topo.num_hosts() - 1),
+        ..workload(scale)
     };
-    sim.add_queries(&queries.generate(hosts, scale.duration(), &mut root.fork("workload/query")));
-    sim
+    mixed_workload_on(topo, cfg, workload)
 }
 
 /// `n` long-lived flows each way across 64 node-disjoint pairs, with

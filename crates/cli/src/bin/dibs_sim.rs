@@ -44,31 +44,17 @@ fn usage_error(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Renders, validates, and writes one run's Chrome trace under `results/`.
+/// Writes one run's Chrome trace to `results/trace_<stem>_<scheme>.json`.
 fn export_chrome_trace(trace: &TraceReport, path: &str, scheme: Scheme) {
     let stem = std::path::Path::new(path).file_stem().map_or_else(
         || "scenario".to_string(),
         |s| s.to_string_lossy().into_owned(),
     );
-    let rendered = trace.chrome_trace().render_pretty();
-    if dibs_json::Json::parse(&rendered).is_err() {
-        eprintln!("trace: internal error, Chrome JSON for {path} does not re-parse");
-        return;
-    }
     let scheme_tag = format!("{scheme:?}").to_lowercase();
     let out = format!("results/trace_{stem}_{scheme_tag}.json");
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write(&out, &rendered))
-    {
-        eprintln!("trace: cannot write {out}: {e}");
-        return;
+    match trace.write_chrome_trace(out.as_ref()) {
+        Ok(line) | Err(line) => eprintln!("{line}"),
     }
-    eprintln!(
-        "trace: {} events ({} observed, {} dropped) -> {out} (open in chrome://tracing)",
-        trace.events.len(),
-        trace.observed,
-        trace.dropped
-    );
 }
 
 fn main() -> ExitCode {

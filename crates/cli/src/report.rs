@@ -130,11 +130,6 @@ impl Report {
         );
         out
     }
-
-    /// Renders JSON.
-    pub fn render_json(&self) -> String {
-        self.to_json().render_pretty()
-    }
 }
 
 impl ToJson for Report {
@@ -205,7 +200,7 @@ mod tests {
         let text = r.render_text();
         assert!(text.contains("queries: 1/1 completed"));
         assert!(text.contains("QCT ms"));
-        let json = r.render_json();
+        let json = r.to_json().render_pretty();
         let parsed = Json::parse(&json).unwrap();
         assert_eq!(
             parsed.get("queries_completed").and_then(Json::as_u64),

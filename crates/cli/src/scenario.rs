@@ -28,7 +28,9 @@ use dibs_net::ids::HostId;
 use dibs_net::topology::{LinkSpec, Topology};
 use dibs_switch::{BufferConfig, DibsPolicy};
 use dibs_transport::FastRetransmit;
-use dibs_workload::{BackgroundTraffic, FlowClass, FlowSpec, QuerySpec, QueryTraffic};
+use dibs_workload::{
+    round_robin_responders, BackgroundTraffic, FlowClass, FlowSpec, QuerySpec, QueryTraffic,
+};
 
 /// Top-level scenario file. Unknown fields are rejected so typos in
 /// scenario files fail loudly instead of silently using defaults.
@@ -502,7 +504,8 @@ impl Scenario {
     }
 
     /// Resolves scheme + overrides into a `SimConfig`, rejecting every
-    /// time field that would overflow the nanosecond clock.
+    /// time field that would overflow the nanosecond clock and every
+    /// traffic rate whose mean gap is not positive and finite.
     pub fn sim_config(&self) -> Result<dibs::SimConfig, ScenarioError> {
         let too_long = |field: &str, ms: u64| {
             if ms > MAX_MS {
@@ -520,7 +523,21 @@ impl Scenario {
         for wl in &self.workloads {
             match *wl {
                 WorkloadSpec::Background { interarrival_ms } => {
+                    if interarrival_ms == 0 {
+                        return Err(ScenarioError(
+                            "interarrival_ms must be at least 1 ms".into(),
+                        ));
+                    }
                     too_long("interarrival_ms", interarrival_ms)?;
+                }
+                // Queries arrive with a mean gap of 1/qps seconds, which
+                // must itself be positive and finite.
+                WorkloadSpec::Query { qps, .. }
+                    if !(qps.is_finite() && qps > 0.0 && qps.recip().is_finite()) =>
+                {
+                    return Err(ScenarioError(format!(
+                        "qps must be positive and finite with a finite reciprocal, got {qps:?}"
+                    )));
                 }
                 WorkloadSpec::Incast { at_ms, .. } | WorkloadSpec::Flow { at_ms, .. } => {
                     too_long("at_ms", at_ms)?;
@@ -651,19 +668,11 @@ impl Scenario {
                             "incast target {target} out of range"
                         )));
                     }
-                    let responders: Vec<HostId> = (0..degree)
-                        .map(|j| {
-                            let mut h = j % (hosts - 1);
-                            if h >= target as usize {
-                                h += 1;
-                            }
-                            HostId::from_index(h)
-                        })
-                        .collect();
+                    let target = HostId(target);
                     sim.add_queries(&[QuerySpec {
                         start: SimTime::from_millis(at_ms),
-                        target: HostId(target),
-                        responders,
+                        target,
+                        responders: round_robin_responders(hosts, target, degree),
                         response_bytes,
                     }]);
                 }

@@ -3,7 +3,8 @@
 //!
 //! Mutated copies of `scenarios/*.json` and of [`TIMED`] go through
 //! `Scenario::from_json`, `Scenario::sim_config` (which rejects every time
-//! field past the nanosecond clock) and `TopologySpec::check` (which
+//! field past the nanosecond clock and every traffic rate with no finite,
+//! positive mean gap) and `TopologySpec::check` (which
 //! rejects a shape too large to build, from its parameters alone);
 //! mutated `--fault` and `--trace` strings go through `FaultSpec::parse`
 //! and `TraceSpec::parse`. `Scenario::build` is not fuzzed: a mutant
@@ -29,6 +30,8 @@ const NUMBERS: &[&str] = &[
     "88",
     "0.5",
     "1e308",
+    "1e999",
+    "1e-320",
     "-0",
     "4294967296",
     "18446744073710",
@@ -208,6 +211,28 @@ fn mutated_scenarios_never_panic() {
             "{text}: {err}"
         );
         assert!(read_scenario(&text));
+    }
+    // Fixed cases: a traffic rate with no finite, positive mean gap
+    // tripped an assert in the traffic generators instead of being
+    // rejected (1e999 parses to infinity; 1e-320 has an infinite
+    // reciprocal).
+    let background = r#"{ "type": "background", "interarrival_ms": 0 }"#.to_string();
+    let query = |qps: &str| {
+        format!(r#"{{ "type": "query", "qps": {qps}, "degree": 1, "response_bytes": 1 }}"#)
+    };
+    for (field, workload) in [
+        ("interarrival_ms must be at least 1 ms", background),
+        ("qps must be positive", query("0")),
+        ("qps must be positive", query("-1")),
+        ("qps must be positive", query("1e999")),
+        ("qps must be positive", query("1e-320")),
+    ] {
+        let text =
+            format!(r#"{{ "topology": {{ "type": "mini_testbed" }}, "workloads": [{workload}] }}"#);
+        let s = Scenario::from_json(&text).expect("well-formed scenario");
+        let err = s.sim_config().expect_err("the rate is rejected");
+        assert!(err.0.contains(field), "{text}: {err}");
+        no_panic("Scenario::build", &text, || assert!(s.build().is_err()));
     }
     // The largest times the clock holds are accepted.
     let s = Scenario::from_json(TIMED).expect("well-formed scenario");

@@ -66,6 +66,14 @@ fn unbuildable_scenarios_exit_1_with_a_message() {
         r#"{ "topology": { "type": "fat_tree", "k": 88 }, "workloads": [] }"#,
     );
     assert_fails(&[&huge], 1, "nodes × hosts is 30674417664");
+    // A query rate of infinity has a zero mean gap, which tripped an
+    // assert in the traffic generator.
+    let infinite_qps = scenario_file(
+        "dibs_sim_cli_infinite_qps.json",
+        r#"{ "topology": { "type": "mini_testbed" }, "workloads": [
+            { "type": "query", "qps": 1e999, "degree": 2, "response_bytes": 1000 } ] }"#,
+    );
+    assert_fails(&[&infinite_qps], 1, "qps must be positive and finite");
     let truncated = scenario_file("dibs_sim_cli_truncated.json", "{");
     assert_fails(&[&truncated], 1, "dibs_sim_cli_truncated.json");
 }
@@ -77,4 +85,24 @@ fn a_good_scenario_still_runs() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("digest "));
+}
+
+/// Golden pin for the `Scenario::build` traffic path: `scenarios/incast.json`
+/// is a round-robin `incast` workload on the mini testbed. Any change to how
+/// the CLI maps responders around the target, or to the simulation it
+/// feeds, changes this digest.
+#[test]
+fn incast_scenario_digest_is_pinned() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/incast.json");
+    let out = dibs_sim(&["--digest", &path.to_string_lossy()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("DctcpDibs 0x8b49127ce0458072"),
+        "digest moved:\n{stdout}"
+    );
 }

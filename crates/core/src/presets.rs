@@ -10,7 +10,7 @@ use dibs_engine::rng::SimRng;
 use dibs_engine::time::{SimDuration, SimTime};
 use dibs_net::builders::{fat_tree, mini_testbed, FatTreeParams};
 use dibs_net::ids::HostId;
-use dibs_net::topology::LinkSpec;
+use dibs_net::topology::{LinkSpec, Topology};
 use dibs_workload::{BackgroundTraffic, FlowClass, FlowSpec, QueryTraffic};
 
 /// Parameters of the §5.3 mixed workload (Table 2).
@@ -59,11 +59,25 @@ impl MixedWorkload {
 /// without DIBS.
 pub fn mixed_workload_sim(
     tree: FatTreeParams,
+    config: SimConfig,
+    workload: MixedWorkload,
+) -> Simulation {
+    mixed_workload_on(fat_tree(tree), config, workload)
+}
+
+/// [`mixed_workload_sim`] on any topology: background flows and queries
+/// drawn from the `workload/background` and `workload/query` forks of
+/// `config.seed`, with the horizon set to cover the workload.
+///
+/// # Panics
+///
+/// Panics if `workload.incast_degree` is not below the host count.
+pub fn mixed_workload_on(
+    topo: Topology,
     mut config: SimConfig,
     workload: MixedWorkload,
 ) -> Simulation {
     config.horizon = workload.horizon();
-    let topo = fat_tree(tree);
     let hosts = topo.num_hosts();
     let mut sim = Simulation::new(topo, config);
 
@@ -127,21 +141,11 @@ pub fn single_incast_sim(
     config.horizon = SimTime::from_secs(5);
     let mut sim = Simulation::new(topo, config);
     let mut rng = SimRng::new(config.seed).fork("workload/single-incast");
-    let target = rng.below(hosts);
-    let responders: Vec<HostId> = rng
-        .sample_distinct(hosts - 1, degree)
-        .into_iter()
-        .map(|mut i| {
-            if i >= target {
-                i += 1;
-            }
-            HostId::from_index(i)
-        })
-        .collect();
+    let target = HostId::from_index(rng.below(hosts));
     sim.add_queries(&[dibs_workload::QuerySpec {
         start: SimTime::ZERO,
-        target: HostId::from_index(target),
-        responders,
+        target,
+        responders: dibs_workload::distinct_responders(hosts, target, degree, &mut rng),
         response_bytes,
     }]);
     sim

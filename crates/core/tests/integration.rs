@@ -334,16 +334,16 @@ fn sampling_produces_hotlink_series() {
 /// needs an ECN-reactive controller.
 #[test]
 fn dibs_with_loss_based_cc_floods_buffers() {
-    let mut dibs_newreno = SimConfig::dctcp_dibs();
-    dibs_newreno.switch.ecn_threshold = None; // No marking: NewReno-over-droptail semantics.
-    let newreno = testbed_incast_sim(dibs_newreno, 5, 10, 32_000).run();
+    let mut unmarked_cfg = SimConfig::dctcp_dibs();
+    unmarked_cfg.switch.ecn_threshold = None; // No marking: NewReno-over-droptail semantics.
+    let unmarked = testbed_incast_sim(unmarked_cfg, 5, 10, 32_000).run();
 
     let dctcp = testbed_incast_sim(SimConfig::dctcp_dibs(), 5, 10, 32_000).run();
     // Without ECN the network detours far more (queues stay full longer).
     assert!(
-        newreno.counters.detours > dctcp.counters.detours,
+        unmarked.counters.detours > dctcp.counters.detours,
         "no-ECN detours {} should exceed DCTCP detours {}",
-        newreno.counters.detours,
+        unmarked.counters.detours,
         dctcp.counters.detours
     );
 }

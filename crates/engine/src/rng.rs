@@ -108,14 +108,6 @@ impl SimRng {
         SimRng::new(splitmix64(forked.seed ^ splitmix64(idx)))
     }
 
-    /// Derives an independent child stream identified by a pre-hashed
-    /// 64-bit word (e.g. a [`hash_bytes`] of a run descriptor).
-    ///
-    /// Like [`SimRng::fork`], this never consumes randomness from `self`.
-    pub fn fork_hash(&self, hash: u64) -> SimRng {
-        SimRng::new(derive_stream_seed(self.seed, &[hash]))
-    }
-
     /// Next raw 64-bit value (xoshiro256++).
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
@@ -292,17 +284,6 @@ mod tests {
         reordered.swap(0, 1);
         assert_ne!(derive_stream_seed(7, &w), derive_stream_seed(7, &reordered));
         assert_ne!(derive_stream_seed(7, &[]), derive_stream_seed(7, &[0]));
-    }
-
-    #[test]
-    fn fork_hash_matches_derivation_and_ignores_consumption() {
-        let h = hash_bytes(b"run-0");
-        let parent = SimRng::new(9);
-        let mut consumed = SimRng::new(9);
-        consumed.next_u64();
-        assert_eq!(parent.fork_hash(h).seed(), consumed.fork_hash(h).seed());
-        assert_eq!(parent.fork_hash(h).seed(), derive_stream_seed(9, &[h]));
-        assert_ne!(parent.fork_hash(h).seed(), parent.fork_hash(h ^ 1).seed());
     }
 
     #[test]

@@ -71,16 +71,6 @@ impl SimTime {
         self.0
     }
 
-    /// The instant expressed in microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// The instant expressed in milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// The instant expressed in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -94,11 +84,6 @@ impl SimTime {
     /// Time elapsed since `earlier`, saturating at zero.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked subtraction of two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
     }
 }
 
@@ -343,7 +328,6 @@ mod tests {
         let b = SimTime::from_millis(2);
         assert_eq!(b.saturating_since(a), SimDuration::from_millis(1));
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(a.checked_since(b), None);
     }
 
     #[test]

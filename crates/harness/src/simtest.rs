@@ -167,17 +167,13 @@ fn materialize(case: Case) -> Materialized {
 
     // One partition-aggregate incast per case (buffer pressure), degree
     // scaled to the topology.
-    let target = rng.below(hosts);
+    let target = HostId::from_index(rng.below(hosts));
     let max_degree = (hosts - 1).min(8);
     let degree = 2.max(rng.below(max_degree) + 1);
-    let responders: Vec<HostId> = rng
-        .sample_distinct(hosts - 1, degree)
-        .into_iter()
-        .map(|r| HostId::from_index(if r >= target { r + 1 } else { r }))
-        .collect();
+    let responders = dibs_workload::distinct_responders(hosts, target, degree, &mut rng);
     queries.push(QuerySpec {
         start: SimTime::from_micros(rng.range_u64(0, 500)),
-        target: HostId::from_index(target),
+        target,
         responders,
         response_bytes: 4_000 + 8_000 * rng.range_u64(0, 4),
     });

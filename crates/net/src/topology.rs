@@ -131,11 +131,6 @@ impl Topology {
         &self.links
     }
 
-    /// Node ids of all hosts, ordered by `HostId`.
-    pub fn host_nodes(&self) -> &[NodeId] {
-        &self.hosts
-    }
-
     /// Node ids of all switches, ordered by `SwitchId`.
     pub fn switch_nodes(&self) -> &[NodeId] {
         &self.switches

@@ -1,6 +1,6 @@
 //! Network-wide event counters.
 
-use dibs_json::{FromJson, Json, JsonError, ObjReader, ToJson};
+use dibs_json::{Json, ToJson};
 
 /// Aggregate counters across a whole simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -84,35 +84,16 @@ impl NetCounters {
             self.delivered_detoured as f64 / self.packets_delivered as f64
         }
     }
-
-    /// Merges another counter set into this one.
-    pub fn merge(&mut self, other: &NetCounters) {
-        self.packets_sent += other.packets_sent;
-        self.packets_delivered += other.packets_delivered;
-        self.drops_buffer += other.drops_buffer;
-        self.drops_ttl += other.drops_ttl;
-        self.drops_displaced += other.drops_displaced;
-        self.drops_host_nic += other.drops_host_nic;
-        self.drops_fault += other.drops_fault;
-        self.detours += other.detours;
-        self.delivered_detoured += other.delivered_detoured;
-        self.ecn_marks += other.ecn_marks;
-        self.rto_timeouts += other.rto_timeouts;
-        self.fast_retransmits += other.fast_retransmits;
-        self.spurious_timeouts += other.spurious_timeouts;
-        self.delivered_hops += other.delivered_hops;
-        self.query_pkts_delivered += other.query_pkts_delivered;
-        self.query_pkts_detoured += other.query_pkts_detoured;
-        self.bg_pkts_delivered += other.bg_pkts_delivered;
-        self.bg_pkts_detoured += other.bg_pkts_detoured;
-    }
 }
 
-/// Expands once per counter field so serialization, parsing, and merging
-/// can never drift out of sync with the struct definition.
-macro_rules! counter_fields {
-    ($m:ident) => {
-        $m!(
+impl ToJson for NetCounters {
+    fn to_json(&self) -> Json {
+        macro_rules! obj {
+            ($($f:ident),*) => {
+                Json::Obj(vec![$((stringify!($f).to_string(), self.$f.to_json())),*])
+            };
+        }
+        obj!(
             packets_sent,
             packets_delivered,
             drops_buffer,
@@ -132,33 +113,6 @@ macro_rules! counter_fields {
             bg_pkts_delivered,
             bg_pkts_detoured
         )
-    };
-}
-
-impl ToJson for NetCounters {
-    fn to_json(&self) -> Json {
-        macro_rules! emit {
-            ($($f:ident),*) => {
-                Json::Obj(vec![$((stringify!($f).to_string(), self.$f.to_json())),*])
-            };
-        }
-        counter_fields!(emit)
-    }
-}
-
-impl FromJson for NetCounters {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let mut r = ObjReader::new(v, "NetCounters")?;
-        macro_rules! read {
-            ($($f:ident),*) => {{
-                let c = NetCounters {
-                    $($f: r.optional(stringify!($f), 0)?,)*
-                };
-                r.deny_unknown()?;
-                Ok(c)
-            }};
-        }
-        counter_fields!(read)
     }
 }
 
@@ -183,91 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_fields() {
-        let mut a = NetCounters {
-            packets_sent: 10,
-            detours: 5,
-            ..Default::default()
-        };
-        let b = NetCounters {
-            packets_sent: 7,
-            detours: 1,
-            ecn_marks: 2,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.packets_sent, 17);
-        assert_eq!(a.detours, 6);
-        assert_eq!(a.ecn_marks, 2);
-    }
-
-    #[test]
-    fn merge_across_shards_equals_direct_sum() {
-        // Eight per-worker shards, each with a distinct per-field pattern,
-        // folded pairwise in two different orders: both folds must equal
-        // the straight per-field sum (merge is associative + commutative).
-        let shards: Vec<NetCounters> = (0..8u64)
-            .map(|i| NetCounters {
-                packets_sent: 10 + i,
-                packets_delivered: 20 + 2 * i,
-                drops_buffer: i % 3,
-                drops_ttl: i % 2,
-                drops_host_nic: i,
-                detours: 100 * i,
-                delivered_detoured: 3 * i,
-                ecn_marks: 7 * i,
-                rto_timeouts: i / 2,
-                delivered_hops: 50 + i,
-                query_pkts_delivered: 5 * i,
-                bg_pkts_delivered: 4 * i,
-                bg_pkts_detoured: i % 4,
-                ..Default::default()
-            })
-            .collect();
-
-        let mut forward = NetCounters::default();
-        for s in &shards {
-            forward.merge(s);
-        }
-        let mut reverse = NetCounters::default();
-        for s in shards.iter().rev() {
-            reverse.merge(s);
-        }
-        assert_eq!(forward, reverse);
-
-        assert_eq!(forward.packets_sent, (0..8).map(|i| 10 + i).sum::<u64>());
-        assert_eq!(forward.detours, (0..8).map(|i| 100 * i).sum::<u64>());
-        assert_eq!(
-            forward.total_drops(),
-            shards.iter().map(NetCounters::total_drops).sum::<u64>()
-        );
-
-        // Merging the identity changes nothing.
-        let before = forward;
-        forward.merge(&NetCounters::default());
-        assert_eq!(forward, before);
-    }
-
-    #[test]
     fn fractions_on_empty_counters_are_zero_not_nan() {
         let c = NetCounters::default();
         assert_eq!(c.bg_detoured_fraction(), 0.0);
         assert_eq!(c.detoured_query_share(), 0.0);
         assert_eq!(c.detoured_fraction(), 0.0);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let c = NetCounters {
-            packets_sent: 10,
-            drops_ttl: 3,
-            bg_pkts_detoured: 1,
-            ..Default::default()
-        };
-        let parsed = NetCounters::from_json(&c.to_json()).unwrap();
-        assert_eq!(parsed, c);
-        let reparsed =
-            NetCounters::from_json(&Json::parse(&c.to_json().render()).unwrap()).unwrap();
-        assert_eq!(reparsed, c);
     }
 }

@@ -4,7 +4,6 @@
 //!
 //! * [`summary`] — sample collections, exact percentiles, Jain's index.
 //! * [`counters`] — network-wide event counters.
-//! * [`timeseries`] — `(time, value)` series.
 //! * [`record`] — serializable experiment records and table rendering.
 //! * [`svg`] — dependency-free SVG line charts of those records.
 
@@ -12,10 +11,8 @@ pub mod counters;
 pub mod record;
 pub mod summary;
 pub mod svg;
-pub mod timeseries;
 
 pub use counters::NetCounters;
 pub use record::{ExperimentRecord, SeriesPoint};
 pub use summary::{jain_index, Samples, Summary};
 pub use svg::{LineChart, Series};
-pub use timeseries::TimeSeries;

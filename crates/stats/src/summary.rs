@@ -1,6 +1,6 @@
 //! Sample collections, percentiles, and distribution summaries.
 
-use dibs_json::{FromJson, Json, JsonError, ObjReader, ToJson};
+use dibs_json::{Json, ToJson};
 
 /// A collection of scalar samples with exact percentile queries.
 ///
@@ -114,31 +114,6 @@ impl Samples {
             max: self.max().expect("nonempty"),
         })
     }
-
-    /// Empirical CDF as `(value, cumulative fraction)` points, downsampled
-    /// to at most `max_points` (for figure output).
-    pub fn cdf_points(&mut self, max_points: usize) -> Vec<(f64, f64)> {
-        if self.values.is_empty() || max_points == 0 {
-            return Vec::new();
-        }
-        self.ensure_sorted();
-        let n = self.values.len();
-        let step = (n as f64 / max_points as f64).max(1.0);
-        let mut pts = Vec::new();
-        let mut i = 0.0;
-        // i stays in [0, n]: a nonnegative f64 bounded by a usize.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        while (i as usize) < n {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let idx = i as usize;
-            pts.push((self.values[idx], (idx + 1) as f64 / n as f64));
-            i += step;
-        }
-        if pts.last().map(|&(v, _)| v) != Some(self.values[n - 1]) {
-            pts.push((self.values[n - 1], 1.0));
-        }
-        pts
-    }
 }
 
 /// A distribution summary, serializable for experiment records.
@@ -162,34 +137,14 @@ pub struct Summary {
     pub max: f64,
 }
 
-macro_rules! summary_fields {
-    ($m:ident) => {
-        $m!(count: u64, mean: f64, min: f64, p50: f64, p90: f64, p99: f64, p999: f64, max: f64)
-    };
-}
-
 impl ToJson for Summary {
     fn to_json(&self) -> Json {
-        macro_rules! emit {
-            ($($f:ident: $t:ty),*) => {
+        macro_rules! obj {
+            ($($f:ident),*) => {
                 Json::Obj(vec![$((stringify!($f).to_string(), self.$f.to_json())),*])
             };
         }
-        summary_fields!(emit)
-    }
-}
-
-impl FromJson for Summary {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let mut r = ObjReader::new(v, "Summary")?;
-        macro_rules! read {
-            ($($f:ident: $t:ty),*) => {{
-                let s = Summary { $($f: r.required::<$t>(stringify!($f))?,)* };
-                r.deny_unknown()?;
-                Ok(s)
-            }};
-        }
-        summary_fields!(read)
+        obj!(count, mean, min, p50, p90, p99, p999, max)
     }
 }
 
@@ -233,7 +188,6 @@ mod tests {
         assert_eq!(s.percentile(0.5), None);
         assert_eq!(s.mean(), None);
         assert!(s.summarize().is_none());
-        assert!(s.cdf_points(10).is_empty());
     }
 
     #[test]
@@ -253,18 +207,6 @@ mod tests {
         assert_eq!(s.percentile(0.5), Some(5.0));
         s.push(1.0);
         assert_eq!(s.percentile(0.0), Some(1.0));
-    }
-
-    #[test]
-    fn cdf_points_cover_range() {
-        let mut s = Samples::new();
-        for v in 0..1000 {
-            s.push(v as f64);
-        }
-        let pts = s.cdf_points(50);
-        assert!(pts.len() <= 52);
-        assert_eq!(pts.last().unwrap().1, 1.0);
-        assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! Exporters: Chrome `chrome://tracing` JSON, the digest-style text
-//! dump, and the per-switch occupancy timeseries bridge to `dibs-stats`.
+//! Exporters: Chrome `chrome://tracing` JSON and the digest-style text
+//! dump.
 
 use crate::event::TraceKind;
-use crate::query::OccupancyTracker;
 use crate::recorder::TraceReport;
 use dibs_engine::rng::hash_bytes;
-use dibs_engine::time::SimTime;
 use dibs_json::{Json, ObjBuilder};
-use dibs_stats::timeseries::TimeSeries;
-use std::collections::BTreeMap;
+use std::path::Path;
 
 impl TraceReport {
     /// Renders the report in Chrome's trace-event JSON format, viewable
@@ -55,6 +52,30 @@ impl TraceReport {
             .build()
     }
 
+    /// Writes [`TraceReport::chrome_trace`] to `path`, creating its
+    /// directory, once the rendered JSON re-parses through `dibs-json`.
+    /// Returns the line to report: a summary of what was written, or why
+    /// nothing was.
+    pub fn write_chrome_trace(&self, path: &Path) -> Result<String, String> {
+        let shown = path.display();
+        let rendered = self.chrome_trace().render_pretty();
+        if Json::parse(&rendered).is_err() {
+            return Err(format!(
+                "trace: internal error, Chrome JSON for {shown} does not re-parse"
+            ));
+        }
+        path.parent()
+            .map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| std::fs::write(path, &rendered))
+            .map_err(|e| format!("trace: cannot write {shown}: {e}"))?;
+        Ok(format!(
+            "trace: {} events ({} observed, {} dropped) -> {shown} (open in chrome://tracing)",
+            self.events.len(),
+            self.observed,
+            self.dropped
+        ))
+    }
+
     /// Renders the report as a stable line-oriented text dump: one
     /// header line followed by one `ev …` line per event. The format is
     /// deliberately digest-like so dumps can be fingerprinted and
@@ -82,26 +103,6 @@ impl TraceReport {
     /// same hash as `RunDigest::fingerprint`.
     pub fn fingerprint(&self) -> u64 {
         hash_bytes(self.text_dump().as_bytes())
-    }
-
-    /// Reconstructs per-switch total buffer occupancy over time from
-    /// queue-transition events, one [`TimeSeries`] per node (keyed by
-    /// node id). Requires `enqueue`, `dequeue`, and `detour` kinds to
-    /// have been captured; nodes with no queue activity are absent.
-    pub fn occupancy_series(&self) -> BTreeMap<u32, TimeSeries> {
-        let mut tracker = OccupancyTracker::new();
-        let mut series: BTreeMap<u32, TimeSeries> = BTreeMap::new();
-        for ev in &self.events {
-            if let Some((node, total)) = tracker.apply(ev) {
-                // Depths are small integers; f64 represents them exactly.
-                #[allow(clippy::cast_precision_loss)]
-                series
-                    .entry(node)
-                    .or_default()
-                    .push(SimTime::from_nanos(ev.t_ns), total as f64);
-            }
-        }
-        series
     }
 }
 
@@ -175,6 +176,27 @@ mod tests {
     }
 
     #[test]
+    fn write_chrome_trace_creates_the_directory_and_reports() {
+        let rep = report(vec![qev(1000, 20, 1, 1, TraceKind::Enqueue)]);
+        let dir = std::env::temp_dir().join(format!("dibs-trace-export-{}", std::process::id()));
+        let path = dir.join("nested").join("trace.json");
+        let line = rep.write_chrome_trace(&path).expect("writable temp dir");
+        assert!(
+            line.starts_with("trace: 1 events (1 observed, 0 dropped) -> "),
+            "{line}"
+        );
+        assert!(line.ends_with("(open in chrome://tracing)"), "{line}");
+        let text = std::fs::read_to_string(&path).expect("trace file written");
+        assert!(is_chrome_trace(&Json::parse(&text).expect("valid JSON")));
+        let blocked = path.join("under_a_file.json");
+        assert!(rep
+            .write_chrome_trace(&blocked)
+            .unwrap_err()
+            .contains("cannot write"));
+        std::fs::remove_dir_all(&dir).expect("clean up");
+    }
+
+    #[test]
     fn text_dump_fingerprint_is_stable_and_content_sensitive() {
         let a = report(vec![qev(1, 2, 3, 4, TraceKind::Enqueue)]);
         let b = report(vec![qev(1, 2, 3, 4, TraceKind::Enqueue)]);
@@ -184,24 +206,5 @@ mod tests {
         assert!(a
             .text_dump()
             .starts_with("trace mode full kinds all events 1"));
-    }
-
-    #[test]
-    fn occupancy_series_folds_queue_transitions() {
-        let rep = report(vec![
-            qev(10, 7, 0, 1, TraceKind::Enqueue),
-            qev(20, 7, 1, 1, TraceKind::Detour),
-            qev(30, 7, 0, 0, TraceKind::Dequeue),
-            qev(40, 9, 0, 1, TraceKind::Enqueue),
-            // Non-queue kinds are ignored.
-            qev(50, 7, 0, 0, TraceKind::Deliver),
-        ]);
-        let series = rep.occupancy_series();
-        assert_eq!(series.len(), 2);
-        let s7 = &series[&7];
-        // Totals: 1 (enq p0), 2 (detour p1), 1 (deq p0).
-        assert_eq!(s7.len(), 3);
-        assert_eq!(s7.max_value(), Some(2.0));
-        assert_eq!(series[&9].len(), 1);
     }
 }

@@ -15,9 +15,6 @@ pub enum FastRetransmit {
 /// Congestion-control algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CcAlgorithm {
-    /// Loss/ECN-reactive AIMD (TCP NewReno-style). With ECN it halves once
-    /// per window on ECE, per RFC 3168.
-    Reno,
     /// DCTCP: maintain the EWMA fraction `alpha` of marked bytes and cut
     /// `cwnd` by `alpha/2` once per window.
     Dctcp {
@@ -100,16 +97,6 @@ impl TcpConfig {
             priority_stamping: true,
             initial_ttl: 255,
             ack_every: 1,
-        }
-    }
-
-    /// Plain NewReno without ECN sensitivity beyond RFC 3168 (used to
-    /// demonstrate why DIBS needs an ECN-based controller, §3).
-    pub fn newreno() -> Self {
-        TcpConfig {
-            cc: CcAlgorithm::Reno,
-            fast_retransmit: FastRetransmit::DupAckThreshold(3),
-            ..Self::dctcp_baseline()
         }
     }
 

@@ -5,10 +5,9 @@
 //! The paper couples DIBS with DCTCP (§3: DIBS needs an ECN-based
 //! congestion controller, because it hides losses) and compares against
 //! pFabric (§5.8). This crate provides a byte-accurate sliding-window TCP
-//! sender/receiver pair with three congestion-control personalities:
+//! sender/receiver pair with two congestion-control personalities:
 //!
 //! * [`config::CcAlgorithm::Dctcp`] — ECN-fraction-proportional decrease.
-//! * [`config::CcAlgorithm::Reno`] — classic AIMD (RFC 3168 ECN response).
 //! * [`config::CcAlgorithm::Fixed`] — pFabric's fixed-window host stack
 //!   with a small fixed RTO and remaining-size priority stamping.
 //!

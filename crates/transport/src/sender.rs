@@ -1,7 +1,7 @@
 //! The TCP sender state machine.
 //!
 //! A byte-sequence sliding-window sender with pluggable congestion control
-//! (Reno / DCTCP / fixed-window), RTO management with Karn's rule and
+//! (DCTCP / fixed-window), RTO management with Karn's rule and
 //! exponential backoff, optional dupack-threshold fast retransmit, and
 //! pFabric remaining-size priority stamping.
 //!
@@ -177,11 +177,6 @@ impl TcpSender {
         self.completed
     }
 
-    /// Start time (first `start` call).
-    pub fn started_at(&self) -> Option<SimTime> {
-        self.started
-    }
-
     /// Current congestion window in bytes.
     pub fn cwnd(&self) -> f64 {
         self.cwnd
@@ -320,7 +315,6 @@ impl TcpSender {
             self.cwr = true;
             let factor = match self.cfg.cc {
                 CcAlgorithm::Dctcp { .. } => 1.0 - self.alpha / 2.0,
-                CcAlgorithm::Reno => 0.5,
                 CcAlgorithm::Fixed => 1.0,
             };
             self.cwnd = (self.cwnd * factor).max(self.cfg.min_cwnd());

@@ -2,8 +2,7 @@
 //!
 //! The key one is [`EmpiricalCdf`], used to encode the production
 //! flow-size distribution from the DCTCP paper that drives the simulations
-//! (§5.3). Log-normal and Pareto are implemented by hand because the
-//! approved dependency set includes `rand` but not `rand_distr`.
+//! (§5.3).
 
 use dibs_engine::rng::SimRng;
 
@@ -131,48 +130,6 @@ impl EmpiricalCdf {
     }
 }
 
-/// Log-normal distribution via Box–Muller.
-#[derive(Debug, Clone, Copy)]
-pub struct LogNormal {
-    /// Mean of the underlying normal.
-    pub mu: f64,
-    /// Standard deviation of the underlying normal.
-    pub sigma: f64,
-}
-
-impl LogNormal {
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        // Box-Muller transform.
-        let u1 = (1.0 - rng.uniform()).max(f64::MIN_POSITIVE);
-        let u2 = rng.uniform();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        (self.mu + self.sigma * z).exp()
-    }
-}
-
-/// Pareto (power-law) distribution with scale `xm` and shape `alpha`.
-#[derive(Debug, Clone, Copy)]
-pub struct Pareto {
-    /// Minimum value (scale).
-    pub xm: f64,
-    /// Tail index (shape); heavier tail for smaller values.
-    pub alpha: f64,
-}
-
-impl Pareto {
-    /// Draws one sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if parameters are not positive.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        assert!(self.xm > 0.0 && self.alpha > 0.0);
-        let u = (1.0 - rng.uniform()).max(f64::MIN_POSITIVE);
-        self.xm / u.powf(1.0 / self.alpha)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,30 +182,5 @@ mod tests {
         let below_100k = (0..n).filter(|_| cdf.sample(&mut rng) <= 100_000.0).count();
         let frac = below_100k as f64 / n as f64;
         assert!((frac - 0.8).abs() < 0.01, "observed {frac}");
-    }
-
-    #[test]
-    fn lognormal_median() {
-        let d = LogNormal {
-            mu: 2.0,
-            sigma: 0.5,
-        };
-        let mut rng = SimRng::new(7);
-        let mut samples: Vec<f64> = (0..50_000).map(|_| d.sample(&mut rng)).collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = samples[25_000];
-        assert!((median - 2.0f64.exp()).abs() < 0.15, "median {median}");
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let d = Pareto {
-            xm: 3.0,
-            alpha: 2.0,
-        };
-        let mut rng = SimRng::new(7);
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) >= 3.0);
-        }
     }
 }

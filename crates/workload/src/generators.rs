@@ -84,15 +84,6 @@ pub struct QueryTraffic {
 }
 
 impl QueryTraffic {
-    /// Table 2 defaults: 300 qps, incast degree 40, 20 KB responses.
-    pub fn paper_default() -> Self {
-        QueryTraffic {
-            qps: 300.0,
-            degree: 40,
-            response_bytes: 20_000,
-        }
-    }
-
     /// Generates all queries issued within `[0, duration)`, sorted by time.
     ///
     /// # Panics
@@ -118,27 +109,44 @@ impl QueryTraffic {
             if t >= duration.as_secs_f64() {
                 break;
             }
-            let target = rng.below(num_hosts);
-            // Sample `degree` distinct responders from the hosts != target.
-            let responders: Vec<HostId> = rng
-                .sample_distinct(num_hosts - 1, self.degree)
-                .into_iter()
-                .map(|mut i| {
-                    if i >= target {
-                        i += 1;
-                    }
-                    HostId::from_index(i)
-                })
-                .collect();
+            let target = HostId::from_index(rng.below(num_hosts));
             queries.push(QuerySpec {
                 start: SimTime::from_secs_f64(t),
-                target: HostId::from_index(target),
-                responders,
+                target,
+                responders: distinct_responders(num_hosts, target, self.degree, rng),
                 response_bytes: self.response_bytes,
             });
         }
         queries
     }
+}
+
+/// `degree` distinct responders drawn uniformly from the `num_hosts - 1`
+/// hosts other than `target`, with one `sample_distinct` draw.
+pub fn distinct_responders(
+    num_hosts: usize,
+    target: HostId,
+    degree: usize,
+    rng: &mut SimRng,
+) -> Vec<HostId> {
+    rng.sample_distinct(num_hosts - 1, degree)
+        .into_iter()
+        .map(|i| skip_target(i, target))
+        .collect()
+}
+
+/// `degree` responders that cycle through the hosts other than `target` in
+/// index order, repeating hosts (several connections per server) once
+/// `degree` exceeds `num_hosts - 1`. Draws no randomness.
+pub fn round_robin_responders(num_hosts: usize, target: HostId, degree: usize) -> Vec<HostId> {
+    (0..degree)
+        .map(|i| skip_target(i % (num_hosts - 1), target))
+        .collect()
+}
+
+/// The `i`-th host of the `num_hosts - 1` hosts other than `target`.
+fn skip_target(i: usize, target: HostId) -> HostId {
+    HostId::from_index(if i >= target.index() { i + 1 } else { i })
 }
 
 /// The §5.6 fairness workload: split `num_hosts` into node-disjoint pairs
@@ -242,8 +250,12 @@ mod tests {
     #[test]
     fn query_rate_respected() {
         let mut rng = SimRng::new(4);
-        let q300 =
-            QueryTraffic::paper_default().generate(128, SimDuration::from_secs(10), &mut rng);
+        let q300 = QueryTraffic {
+            qps: 300.0,
+            degree: 40,
+            response_bytes: 20_000,
+        }
+        .generate(128, SimDuration::from_secs(10), &mut rng);
         assert!((2700..3300).contains(&q300.len()), "got {}", q300.len());
     }
 
@@ -257,6 +269,26 @@ mod tests {
             response_bytes: 1,
         }
         .generate(10, SimDuration::from_secs(1), &mut rng);
+    }
+
+    #[test]
+    fn responders_skip_the_target() {
+        let target = HostId(2);
+        let rr = round_robin_responders(4, target, 7);
+        let idx: Vec<u32> = rr.iter().map(|h| h.0).collect();
+        assert_eq!(idx, [0, 1, 3, 0, 1, 3, 0]);
+
+        let mut a = SimRng::new(6);
+        let mut b = SimRng::new(6);
+        let drawn = distinct_responders(10, target, 9, &mut a);
+        let expected: Vec<HostId> = b
+            .sample_distinct(9, 9)
+            .into_iter()
+            .map(|i| HostId::from_index(if i >= 2 { i + 1 } else { i }))
+            .collect();
+        assert_eq!(drawn, expected);
+        assert!(drawn.iter().all(|&h| h != target));
+        assert_eq!(a.next_u64(), b.next_u64(), "same draws as sample_distinct");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!   background flow-size CDF that drives all simulations.
 //! * [`spec`] — flow and query descriptors.
 //! * [`generators`] — background traffic, partition-aggregate (incast)
-//!   query traffic, and the §5.6 long-lived fairness flows.
+//!   query traffic, the responder sets around an incast target, and the
+//!   §5.6 long-lived fairness flows.
 //! * [`matrices`] — demand-matrix families and fluid-model link
 //!   utilization for the Figure 3/4 hotspot-sparsity statistics.
 
@@ -16,5 +17,7 @@ pub mod matrices;
 pub mod spec;
 
 pub use dist::EmpiricalCdf;
-pub use generators::{long_lived_pairs, BackgroundTraffic, QueryTraffic};
+pub use generators::{
+    distinct_responders, long_lived_pairs, round_robin_responders, BackgroundTraffic, QueryTraffic,
+};
 pub use spec::{FlowClass, FlowSpec, QuerySpec};

@@ -223,16 +223,6 @@ pub fn hot_fraction_relative(utils: &[f64], frac_of_max: f64) -> f64 {
     hot as f64 / utils.len() as f64
 }
 
-/// Fraction of links with absolute utilization at least `threshold`
-/// (Fig 4 uses 0.9).
-pub fn hot_fraction_absolute(utils: &[f64], threshold: f64) -> f64 {
-    if utils.is_empty() {
-        return 0.0;
-    }
-    let hot = utils.iter().filter(|&&u| u >= threshold).count();
-    hot as f64 / utils.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,8 +284,6 @@ mod tests {
     fn hot_fraction_edge_cases() {
         assert_eq!(hot_fraction_relative(&[], 0.5), 0.0);
         assert_eq!(hot_fraction_relative(&[0.0, 0.0], 0.5), 0.0);
-        assert_eq!(hot_fraction_absolute(&[], 0.9), 0.0);
-        assert!((hot_fraction_absolute(&[0.95, 0.5, 0.91, 0.1], 0.9) - 0.5).abs() < 1e-12);
         assert!((hot_fraction_relative(&[1.0, 0.6, 0.4], 0.5) - 2.0 / 3.0).abs() < 1e-12);
     }
 

@@ -5,7 +5,6 @@
 use dibs_engine::rng::SimRng;
 use dibs_engine::testkit;
 use dibs_engine::time::SimDuration;
-use dibs_workload::dist::{LogNormal, Pareto};
 use dibs_workload::{BackgroundTraffic, EmpiricalCdf, QueryTraffic};
 
 /// Empirical mean of `n` draws.
@@ -133,33 +132,5 @@ fn query_rate_matches_qps_and_degree_is_exact() {
             assert_eq!(seen.len(), qt.degree, "case {case}: duplicate responder");
             assert!(q.responders.iter().all(|r| *r != q.target), "case {case}");
         }
-    });
-}
-
-#[test]
-fn lognormal_and_pareto_match_closed_form_means() {
-    testkit::cases_n("analytic-means", 8, |rng, case| {
-        let ln = LogNormal {
-            mu: 9.0,
-            sigma: 0.5,
-        };
-        let ln_mean = (ln.mu + ln.sigma * ln.sigma / 2.0).exp();
-        let got = sample_mean(40_000, rng, |r| ln.sample(r));
-        assert!(
-            (got - ln_mean).abs() / ln_mean < 0.1,
-            "case {case}: lognormal mean {got:.0} vs analytic {ln_mean:.0}"
-        );
-
-        // alpha > 2 so the sample mean converges reasonably fast.
-        let pa = Pareto {
-            xm: 1_000.0,
-            alpha: 2.5,
-        };
-        let pa_mean = pa.alpha * pa.xm / (pa.alpha - 1.0);
-        let got = sample_mean(40_000, rng, |r| pa.sample(r));
-        assert!(
-            (got - pa_mean).abs() / pa_mean < 0.1,
-            "case {case}: pareto mean {got:.0} vs analytic {pa_mean:.0}"
-        );
     });
 }
