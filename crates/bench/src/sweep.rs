@@ -3,40 +3,40 @@
 //! driver (`sweep <id>`).
 //!
 //! A row names the figure and its fixed parameters, lists the swept x
-//! values and the arms compared at each x (DCTCP, DIBS, and sometimes
-//! infinite buffers, pFabric, PFC, packet-level ECMP or other detour
-//! policies), and declares the columns reported per point. All arms at a
-//! point share one seed, derived from the row id, the x value and the
-//! master seed, so every arm sees identical traffic.
+//! values, gives the point's base [`Scenario`] at each x (the value
+//! `dibs-sim` reads from JSON), lists the arms compared at each x (DCTCP,
+//! DIBS, and sometimes infinite buffers, pFabric, PFC, packet-level ECMP
+//! or other detour policies) as a scheme plus overrides layered over the
+//! base, and declares the columns reported per point. Every arm runs
+//! through [`Scenario::build`]. All arms at a point share one seed,
+//! derived from the row id, the x value and the master seed, so every arm
+//! sees identical traffic.
 
 use crate::{timing, Harness, Scale};
-use dibs::presets::{fairness_sim, mixed_workload_on, mixed_workload_sim, MixedWorkload};
-use dibs::{EcmpMode, PfcConfig, RunDescriptor, RunResults, SimConfig, Simulation};
+use dibs::{RunDescriptor, RunResults};
+use dibs_cli::scenario::{Overrides, Scenario, Scheme, TopologySpec, WorkloadSpec};
 use dibs_engine::rng::SimRng;
-use dibs_engine::time::{SimDuration, SimTime};
-use dibs_net::builders::{
-    fat_tree, hyperx, jellyfish, linear, FatTreeParams, HyperXParams, JellyfishParams,
-};
+use dibs_engine::time::SimDuration;
 use dibs_net::ids::HostId;
-use dibs_net::topology::{LinkSpec, Topology};
 use dibs_stats::{ExperimentRecord, SeriesPoint};
-use dibs_switch::{BufferConfig, DibsPolicy};
-use dibs_transport::FastRetransmit;
-use dibs_workload::{round_robin_responders, QuerySpec};
 
-/// Builds one arm's simulation from `(x, seed, scale)`.
-type Build = Box<dyn Fn(f64, u64, Scale) -> Simulation + Sync>;
+/// A row's scenario at one point, from `(x, seed, scale)`: the topology,
+/// window, workloads and overrides all of the point's arms share.
+type Base = fn(f64, u64, Scale) -> Scenario;
 
 /// Reads one number out of a finished run. Takes `&mut` because the
 /// percentile accessors sort their samples lazily.
 type Metric = fn(&mut RunResults) -> f64;
 
-/// One configuration compared at every x of a row.
+/// One configuration compared at every x of a row: a scheme, plus
+/// overrides layered over the point's base scenario.
 struct Arm {
     /// Name the row's columns refer to.
     name: &'static str,
-    /// The arm's simulation at one point.
-    build: Build,
+    /// The arm's base scheme.
+    scheme: Scheme,
+    /// Overrides that win over the base scenario's.
+    overrides: Overrides,
 }
 
 /// One reported value per point: `metric` applied to arm `arm`'s run.
@@ -86,14 +86,35 @@ pub struct Sweep {
     /// Swept values: whole, non-negative and distinct, because each one
     /// names its point's seed.
     xs: &'static [f64],
+    /// The scenario at each x, before an arm's scheme and overrides.
+    base: Base,
     /// Configurations compared at each x.
     arms: Vec<Arm>,
     /// Values reported at each x.
     columns: Vec<Column>,
 }
 
+impl Sweep {
+    /// The scenario arm `arm` runs at `x`: the point's base scenario under
+    /// the arm's scheme, with the arm's overrides layered on top.
+    fn scenario(&self, x: f64, arm: &Arm, seed: u64, scale: Scale) -> Scenario {
+        let base = (self.base)(x, seed, scale);
+        let overrides = arm.overrides.clone().over(&base.overrides);
+        Scenario {
+            scheme: arm.scheme,
+            overrides,
+            ..base
+        }
+    }
+}
+
 /// Runs every arm of `sweep` at every x through the harness's executor
 /// and returns the record for [`Harness::finish`].
+///
+/// # Panics
+///
+/// Panics if a point's scenario does not build; the table tests check
+/// every point's topology and configuration at every scale.
 pub fn run(sweep: &Sweep, h: &Harness) -> ExperimentRecord {
     let mut rec = ExperimentRecord::new(sweep.id, sweep.title, sweep.x_label);
     for (key, value) in sweep.params {
@@ -111,7 +132,9 @@ pub fn run(sweep: &Sweep, h: &Harness) -> ExperimentRecord {
         .collect();
     let values = h.executor().map(runs, |(x, arm)| {
         let seed = RunDescriptor::new(sweep.id, "paired", whole(x), 0).paired_seed(master);
-        let mut results = (arm.build)(x, seed, scale).run();
+        let sim = sweep.scenario(x, arm, seed, scale).build();
+        let sim = sim.unwrap_or_else(|e| panic!("{} x={x} {}: {e}", sweep.id, arm.name));
+        let mut results = sim.run();
         timing::note_run(&results);
         sweep
             .columns
@@ -152,34 +175,73 @@ pub fn find(id: &str) -> Result<Sweep, String> {
         .ok_or_else(|| format!("unknown sweep id `{id}`; valid ids: {}", ids().join(", ")))
 }
 
-// ---- workloads and configs ------------------------------------------------
+// ---- scenarios and arms -----------------------------------------------------
 
-/// The Table 2 mixed workload (bold defaults) at this scale.
-fn workload(scale: Scale) -> MixedWorkload {
-    MixedWorkload {
-        duration: scale.duration(),
-        drain: scale.drain(),
-        ..MixedWorkload::paper_default()
+/// The paper's K=8 fat-tree (128 hosts).
+const K8: TopologySpec = TopologySpec::FatTree {
+    k: 8,
+    oversubscription: 1,
+};
+
+/// `d` in whole milliseconds; every scale window is whole.
+fn ms(d: SimDuration) -> u64 {
+    d.as_nanos() / 1_000_000
+}
+
+/// Table 2 traffic: background flows every `bg_ms` per host plus `qps`
+/// queries of `degree` responses of `kb` KB each.
+fn traffic(bg_ms: u64, qps: f64, degree: usize, kb: u64) -> Vec<WorkloadSpec> {
+    vec![
+        WorkloadSpec::Background {
+            interarrival_ms: bg_ms,
+        },
+        WorkloadSpec::Query {
+            qps,
+            degree,
+            response_bytes: kb * 1000,
+        },
+    ]
+}
+
+/// The Table 2 mixed workload (bold defaults) on the K=8 fat-tree at this
+/// scale's window, under the point's `seed`.
+fn table2(seed: u64, scale: Scale) -> Scenario {
+    Scenario {
+        seed,
+        topology: K8,
+        scheme: Scheme::Dctcp,
+        overrides: Overrides::default(),
+        duration_ms: ms(scale.duration()),
+        drain_ms: ms(scale.drain()),
+        workloads: traffic(120, 300.0, 40, 20),
+    }
+}
+
+/// [`table2`] at `qps` queries per second.
+fn at_rate(qps: f64, seed: u64, scale: Scale) -> Scenario {
+    Scenario {
+        workloads: traffic(120, qps, 40, 20),
+        ..table2(seed, scale)
     }
 }
 
 /// The heavy-background (10 ms inter-arrival) workload of Figs 12–13, on
 /// the short window that keeps it tractable.
-fn heavy_background(scale: Scale) -> MixedWorkload {
-    MixedWorkload {
-        bg_interarrival: SimDuration::from_millis(10),
-        duration: scale.heavy_duration(),
-        ..workload(scale)
+fn heavy_background(seed: u64, scale: Scale) -> Scenario {
+    Scenario {
+        duration_ms: ms(scale.heavy_duration()),
+        workloads: traffic(10, 300.0, 40, 20),
+        ..table2(seed, scale)
     }
 }
 
-/// The extreme-load workloads of Figs 14–15: short window, generous drain
+/// The extreme-load window of Figs 14–15: short, with a generous drain
 /// (under collapse, completions trickle in late).
-fn extreme(scale: Scale) -> MixedWorkload {
-    MixedWorkload {
-        duration: scale.heavy_duration(),
-        drain: scale.drain() * 2,
-        ..workload(scale)
+fn extreme(seed: u64, scale: Scale) -> Scenario {
+    Scenario {
+        duration_ms: ms(scale.heavy_duration()),
+        drain_ms: 2 * ms(scale.drain()),
+        ..table2(seed, scale)
     }
 }
 
@@ -194,117 +256,42 @@ fn fairness_horizon_ms(scale: Scale) -> u64 {
 
 /// `pkts`-packet static per-port buffers, with the DCTCP marking threshold
 /// kept below the buffer limit.
-fn static_buffer(mut cfg: SimConfig, pkts: f64) -> SimConfig {
+fn per_port_buffer(pkts: f64) -> Overrides {
     let pkts = count(pkts);
-    cfg.switch.buffer = BufferConfig::StaticPerPort { packets: pkts };
-    cfg.switch.ecn_threshold = Some(20.min(pkts.saturating_sub(1).max(1)));
-    cfg
-}
-
-/// An arm named `name` whose simulation at a point is
-/// `sim(cfg.with_seed(seed), x, scale)`.
-fn arm(
-    name: &'static str,
-    cfg: SimConfig,
-    sim: impl Fn(SimConfig, f64, Scale) -> Simulation + Sync + 'static,
-) -> Arm {
-    Arm {
-        name,
-        build: Box::new(move |x, seed, scale| sim(cfg.with_seed(seed), x, scale)),
+    Overrides {
+        buffer_packets: Some(pkts),
+        ecn_threshold: Some(20.min(pkts.saturating_sub(1).max(1))),
+        ..Overrides::default()
     }
 }
 
-/// The paper's paired comparison: a `dctcp` and a `dibs` arm running the
-/// same `sim`.
-fn dctcp_vs_dibs(
-    sim: impl Fn(SimConfig, f64, Scale) -> Simulation + Sync + Copy + 'static,
-) -> Vec<Arm> {
+/// An arm named `name`: `scheme` with no overrides of its own.
+fn plain(name: &'static str, scheme: Scheme) -> Arm {
+    Arm {
+        name,
+        scheme,
+        overrides: Overrides::default(),
+    }
+}
+
+/// The paper's paired comparison: a `dctcp` and a `dibs` arm.
+fn paired() -> Vec<Arm> {
     vec![
-        arm("dctcp", SimConfig::dctcp_baseline(), sim),
-        arm("dibs", SimConfig::dctcp_dibs(), sim),
+        plain("dctcp", Scheme::Dctcp),
+        plain("dibs", Scheme::DctcpDibs),
     ]
 }
 
-/// `workload` on the K=8 fat-tree under `cfg`.
-fn mixed(cfg: SimConfig, workload: MixedWorkload) -> Simulation {
-    mixed_workload_sim(FatTreeParams::paper_default(), cfg, workload)
-}
-
-/// [`mixed`] with the Table 2 workload at `qps` queries per second.
-fn at_qps(cfg: SimConfig, qps: f64, scale: Scale) -> Simulation {
-    mixed(
-        cfg,
-        MixedWorkload {
-            qps,
-            ..workload(scale)
+/// DIBS under the detour policy `policy` (a scenario `dibs_policy`).
+fn policy(name: &'static str, policy: &str) -> Arm {
+    Arm {
+        name,
+        scheme: Scheme::DctcpDibs,
+        overrides: Overrides {
+            dibs_policy: Some(policy.into()),
+            ..Overrides::default()
         },
-    )
-}
-
-/// An incast of `degree` 20 KB responses on the K=8 fat-tree with
-/// Arista-like shared-memory switches, repeating responders (multiple
-/// connections per server) once `degree` exceeds the host count.
-fn big_incast(mut config: SimConfig, degree: f64, _: Scale) -> Simulation {
-    let topo = fat_tree(FatTreeParams::paper_default());
-    let hosts = topo.num_hosts();
-    config.switch.buffer = BufferConfig::arista_like();
-    config.horizon = SimTime::from_secs(5);
-    let mut sim = Simulation::new(topo, config);
-    let target = HostId::from_index(SimRng::new(config.seed).fork("big-incast").below(hosts));
-    sim.add_queries(&[QuerySpec {
-        start: SimTime::ZERO,
-        target,
-        responders: round_robin_responders(hosts, target, count(degree)),
-        response_bytes: 20_000,
-    }]);
-    sim
-}
-
-/// The `abl_topologies` instances (see its `topology_*` params), ~128
-/// hosts each with comparable switch counts.
-fn topology(index: usize) -> Topology {
-    let gbit = LinkSpec::gbit(1);
-    match index {
-        0 => fat_tree(FatTreeParams::paper_default()),
-        1 => jellyfish(
-            JellyfishParams {
-                switches: 43,
-                degree: 8,
-                hosts_per_switch: 3,
-                host_link: gbit,
-                fabric_link: gbit,
-            },
-            &mut SimRng::new(99),
-        ),
-        2 => hyperx(HyperXParams {
-            shape: &[4, 4],
-            hosts_per_switch: 8,
-            host_link: gbit,
-            fabric_link: gbit,
-        }),
-        _ => linear(8, 16, gbit),
     }
-}
-
-/// Incast (1000 qps, degree 40, 20 KB) over light background on the
-/// topology with index `index`.
-fn on_topology(cfg: SimConfig, index: f64, scale: Scale) -> Simulation {
-    let topo = topology(count(index));
-    let workload = MixedWorkload {
-        qps: 1000.0,
-        incast_degree: 40.min(topo.num_hosts() - 1),
-        ..workload(scale)
-    };
-    mixed_workload_on(topo, cfg, workload)
-}
-
-/// `n` long-lived flows each way across 64 node-disjoint pairs, with
-/// goodput measured after a warmup of a quarter of the run.
-fn fairness(mut cfg: SimConfig, n: f64, scale: Scale) -> Simulation {
-    let horizon_ms = fairness_horizon_ms(scale);
-    cfg.throughput_warmup = Some(SimTime::from_millis(horizon_ms / 4));
-    let horizon = SimTime::from_millis(horizon_ms);
-    fairness_sim(FatTreeParams::paper_default(), cfg, count(n), horizon)
 }
 
 // ---- metrics and columns --------------------------------------------------
@@ -366,19 +353,24 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Mixed),
             xs: &[25.0, 100.0, 300.0, 500.0, 700.0],
-            arms: {
-                let mut arms =
-                    dctcp_vs_dibs(|cfg, pkts, s| mixed(static_buffer(cfg, pkts), workload(s)));
+            base: |pkts, seed, s| Scenario {
+                overrides: per_port_buffer(pkts),
+                ..table2(seed, s)
+            },
+            arms: vec![
+                plain("dctcp", Scheme::Dctcp),
+                plain("dibs", Scheme::DctcpDibs),
                 // Size-independent, but rerun per point so the series
                 // aligns and the ECN threshold matches.
-                let infinite = |cfg, pkts, s| {
-                    let mut cfg = static_buffer(cfg, pkts);
-                    cfg.switch.buffer = BufferConfig::Infinite;
-                    mixed(cfg, workload(s))
-                };
-                arms.push(arm("dctcp_inf", SimConfig::dctcp_baseline(), infinite));
-                arms
-            },
+                Arm {
+                    name: "dctcp_inf",
+                    scheme: Scheme::Dctcp,
+                    overrides: Overrides {
+                        buffer_packets: Some(0),
+                        ..Overrides::default()
+                    },
+                },
+            ],
             columns: [
                 per_arm(&["dctcp", "dctcp_inf", "dibs"], &[QCT_P99]),
                 per_arm(&["dctcp", "dibs"], &[DROPS]),
@@ -398,19 +390,17 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Mixed),
             xs: &[10.0, 20.0, 40.0, 80.0, 120.0],
-            arms: dctcp_vs_dibs(|cfg, ia, scale| {
-                let wl = MixedWorkload {
-                    bg_interarrival: SimDuration::from_millis(whole(ia)),
-                    // Heavy background needs the shorter window.
-                    duration: if ia <= 20.0 {
-                        scale.heavy_duration()
-                    } else {
-                        scale.duration()
-                    },
-                    ..workload(scale)
-                };
-                mixed(cfg, wl)
-            }),
+            base: |ia, seed, s| Scenario {
+                // Heavy background needs the shorter window.
+                duration_ms: ms(if ia <= 20.0 {
+                    s.heavy_duration()
+                } else {
+                    s.duration()
+                }),
+                workloads: traffic(whole(ia), 300.0, 40, 20),
+                ..table2(seed, s)
+            },
+            arms: paired(),
             columns: headline(vec![]),
         },
         // Fig 9: DIBS improves p99 QCT by ~20 ms across the sweep; at the
@@ -426,7 +416,8 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Mixed),
             xs: &[300.0, 500.0, 1000.0, 1500.0, 2000.0],
-            arms: dctcp_vs_dibs(at_qps),
+            base: at_rate,
+            arms: paired(),
             columns: headline(vec![]),
         },
         // Fig 10: the QCT advantage shrinks as responses grow (more detours,
@@ -442,16 +433,11 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Mixed),
             xs: &[20.0, 30.0, 40.0, 50.0],
-            arms: dctcp_vs_dibs(|cfg, kb, scale| {
-                let response_bytes = whole(kb) * 1000;
-                mixed(
-                    cfg,
-                    MixedWorkload {
-                        response_bytes,
-                        ..workload(scale)
-                    },
-                )
-            }),
+            base: |kb, seed, s| Scenario {
+                workloads: traffic(120, 300.0, 40, whole(kb)),
+                ..table2(seed, s)
+            },
+            arms: paired(),
             columns: headline(vec![]),
         },
         // Fig 11: the advantage grows with degree (burstier first RTT); at
@@ -467,16 +453,11 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Mixed),
             xs: &[40.0, 60.0, 80.0, 100.0],
-            arms: dctcp_vs_dibs(|cfg, deg, scale| {
-                let incast_degree = count(deg);
-                mixed(
-                    cfg,
-                    MixedWorkload {
-                        incast_degree,
-                        ..workload(scale)
-                    },
-                )
-            }),
+            base: |deg, seed, s| Scenario {
+                workloads: traffic(120, 300.0, count(deg), 20),
+                ..table2(seed, s)
+            },
+            arms: paired(),
             columns: headline(vec![col("dibs_frac_40plus_detours", "dibs", |r| {
                 r.detoured_at_least(40)
             })]),
@@ -495,9 +476,11 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Heavy),
             xs: &[1.0, 5.0, 10.0, 25.0, 40.0, 100.0, 200.0],
-            arms: dctcp_vs_dibs(|cfg, pkts, s| {
-                mixed(static_buffer(cfg, pkts), heavy_background(s))
-            }),
+            base: |pkts, seed, s| Scenario {
+                overrides: per_port_buffer(pkts),
+                ..heavy_background(seed, s)
+            },
+            arms: paired(),
             columns: headline(per_arm(&["dctcp", "dibs"], &[DONE_FRAC])),
         },
         // Fig 13: DIBS QCT improves as TTL grows (each backward detour costs
@@ -515,10 +498,14 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Heavy),
             xs: &[12.0, 24.0, 36.0, 48.0, 255.0],
-            arms: dctcp_vs_dibs(|mut cfg, ttl, scale| {
-                cfg.tcp.initial_ttl = u8::try_from(whole(ttl)).unwrap_or(u8::MAX);
-                mixed(cfg, heavy_background(scale))
-            }),
+            base: |ttl, seed, s| Scenario {
+                overrides: Overrides {
+                    ttl: Some(u8::try_from(whole(ttl)).unwrap_or(u8::MAX)),
+                    ..Overrides::default()
+                },
+                ..heavy_background(seed, s)
+            },
+            arms: paired(),
             columns: headline(vec![col("ttl_drops_dibs", "dibs", |r| {
                 r.counters.drops_ttl as f64
             })]),
@@ -537,15 +524,11 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Heavy),
             xs: &[6000.0, 8000.0, 10000.0, 12000.0, 14000.0],
-            arms: dctcp_vs_dibs(|cfg, qps, scale| {
-                mixed(
-                    cfg,
-                    MixedWorkload {
-                        qps,
-                        ..extreme(scale)
-                    },
-                )
-            }),
+            base: |qps, seed, s| Scenario {
+                workloads: traffic(120, qps, 40, 20),
+                ..extreme(seed, s)
+            },
+            arms: paired(),
             columns: headline(per_arm(&["dctcp", "dibs"], &[DONE_FRAC])),
         },
         // Fig 15: large responses take several RTTs, so DCTCP's ECN loop
@@ -561,14 +544,11 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Heavy),
             xs: &[60.0, 80.0, 100.0, 120.0, 160.0],
-            arms: dctcp_vs_dibs(|cfg, kb, scale| {
-                let wl = MixedWorkload {
-                    qps: 2000.0,
-                    response_bytes: whole(kb) * 1000,
-                    ..extreme(scale)
-                };
-                mixed(cfg, wl)
-            }),
+            base: |kb, seed, s| Scenario {
+                workloads: traffic(120, 2000.0, 40, whole(kb)),
+                ..extreme(seed, s)
+            },
+            arms: paired(),
             columns: headline(per_arm(&["dibs"], &[DONE_FRAC])),
         },
         // Fig 16: pFabric starves large background flows at high query rate
@@ -587,9 +567,10 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Mixed),
             xs: &[300.0, 500.0, 1000.0, 1500.0, 2000.0],
+            base: at_rate,
             arms: vec![
-                arm("dibs", SimConfig::dctcp_dibs(), at_qps),
-                arm("pfabric", SimConfig::pfabric(), at_qps),
+                plain("dibs", Scheme::DctcpDibs),
+                plain("pfabric", Scheme::Pfabric),
             ],
             // Fig 16(a) looks at all background flows: pFabric's starvation
             // shows up in the large-flow tail.
@@ -619,9 +600,27 @@ fn table() -> Vec<Sweep> {
             ],
             window: None,
             xs: &[40.0, 100.0, 150.0, 200.0, 300.0, 400.0],
+            // One incast of `degree` 20 KB responses at time 0 to a random
+            // target, repeating responders (multiple connections per
+            // server) once `degree` exceeds the host count.
+            base: |degree, seed, s| Scenario {
+                overrides: Overrides {
+                    shared_buffer_bytes: Some(1_700_000),
+                    ..Overrides::default()
+                },
+                duration_ms: 0,
+                drain_ms: 5000,
+                workloads: vec![WorkloadSpec::Incast {
+                    target: HostId::from_index(SimRng::new(seed).fork("big-incast").below(128)).0,
+                    degree: count(degree),
+                    response_bytes: 20_000,
+                    at_ms: 0,
+                }],
+                ..table2(seed, s)
+            },
             arms: vec![
-                arm("dctcp_dba", SimConfig::dctcp_baseline(), big_incast),
-                arm("dibs_dba", SimConfig::dctcp_dibs(), big_incast),
+                plain("dctcp_dba", Scheme::Dctcp),
+                plain("dibs_dba", Scheme::DctcpDibs),
             ],
             columns: [
                 per_arm(&["dctcp_dba", "dibs_dba"], &[QCT_P99, DROPS]),
@@ -644,10 +643,14 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Mixed),
             xs: &[1.0, 2.0, 3.0, 4.0],
-            arms: dctcp_vs_dibs(|cfg, div, scale| {
-                let tree = FatTreeParams::oversubscribed(whole(div));
-                mixed_workload_sim(tree, cfg, workload(scale))
-            }),
+            base: |div, seed, s| Scenario {
+                topology: TopologySpec::FatTree {
+                    k: 8,
+                    oversubscription: whole(div),
+                },
+                ..table2(seed, s)
+            },
+            arms: paired(),
             columns: headline(vec![]),
         },
         // §5.6: Jain's index over per-flow goodput (after a warmup) for N
@@ -661,7 +664,16 @@ fn table() -> Vec<Sweep> {
             params: &[("pairs", "64")],
             window: Some(Window::Fairness),
             xs: &[1.0, 2.0, 4.0, 8.0, 16.0],
-            arms: dctcp_vs_dibs(fairness),
+            // Goodput is measured past a warmup of a quarter of the run.
+            base: |n, seed, s| Scenario {
+                duration_ms: 0,
+                drain_ms: fairness_horizon_ms(s),
+                workloads: vec![WorkloadSpec::LongLived {
+                    flows_per_pair: count(n),
+                }],
+                ..table2(seed, s)
+            },
+            arms: paired(),
             columns: per_arm(
                 &["dibs", "dctcp"],
                 &[
@@ -685,20 +697,14 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Mixed),
             xs: &[300.0, 1000.0, 2000.0],
-            arms: {
-                let policy = |name, cfg| arm(name, cfg, at_qps);
-                let dibs = SimConfig::dctcp_dibs();
-                vec![
-                    policy("droptail", dibs.with_policy(DibsPolicy::Disabled)),
-                    policy("random", dibs.with_policy(DibsPolicy::Random)),
-                    policy("loadaware", dibs.with_policy(DibsPolicy::LoadAware)),
-                    policy("flowbased", dibs.with_policy(DibsPolicy::FlowBased)),
-                    policy(
-                        "prob85",
-                        dibs.with_policy(DibsPolicy::Probabilistic { onset: 0.85 }),
-                    ),
-                ]
-            },
+            base: at_rate,
+            arms: vec![
+                policy("droptail", "disabled"),
+                policy("random", "random"),
+                policy("loadaware", "load_aware"),
+                policy("flowbased", "flow_based"),
+                policy("prob85", "probabilistic:0.85"),
+            ],
             columns: per_arm(
                 &["droptail", "random", "loadaware", "flowbased", "prob85"],
                 &[QCT_P99, BG_FCT_P99, DROPS, DETOURS],
@@ -722,7 +728,28 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Mixed),
             xs: &[0.0, 1.0, 2.0, 3.0],
-            arms: dctcp_vs_dibs(on_topology),
+            // Incast (1000 qps, degree 40, 20 KB) over light background on
+            // ~128 hosts, with comparable switch counts.
+            base: |index, seed, s| Scenario {
+                topology: match count(index) {
+                    0 => K8,
+                    1 => TopologySpec::Jellyfish {
+                        switches: 43,
+                        degree: 8,
+                        hosts_per_switch: 3,
+                    },
+                    2 => TopologySpec::Hyperx {
+                        shape: vec![4, 4],
+                        hosts_per_switch: 8,
+                    },
+                    _ => TopologySpec::Linear {
+                        switches: 8,
+                        hosts_per_switch: 16,
+                    },
+                },
+                ..at_rate(1000.0, seed, s)
+            },
+            arms: paired(),
             columns: [
                 per_arm(&["dctcp", "dibs"], &[QCT_P99, DROPS]),
                 per_arm(&["dibs"], &[DETOURS, DONE_FRAC]),
@@ -745,17 +772,24 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Mixed),
             xs: &[300.0, 1000.0, 2000.0],
-            arms: {
-                let pfc = SimConfig {
-                    pfc: Some(PfcConfig::default_for_paper_buffers()),
-                    ..SimConfig::dctcp_baseline()
-                };
-                vec![
-                    arm("droptail", SimConfig::dctcp_baseline(), at_qps),
-                    arm("pfc", pfc, at_qps),
-                    arm("dibs", SimConfig::dctcp_dibs(), at_qps),
-                ]
-            },
+            base: at_rate,
+            arms: vec![
+                plain("droptail", Scheme::Dctcp),
+                // Sized for the 100-packet buffers: with up to ~7
+                // switch-facing ingresses feeding one output queue, XOFF
+                // must keep `ingresses × xoff + headroom < 100` (the PFC
+                // headroom calculation the paper calls "difficult to
+                // tune", §6).
+                Arm {
+                    name: "pfc",
+                    scheme: Scheme::Dctcp,
+                    overrides: Overrides {
+                        pfc: Some([12, 6]),
+                        ..Overrides::default()
+                    },
+                },
+                plain("dibs", Scheme::DctcpDibs),
+            ],
             columns: [
                 per_arm(&["droptail", "pfc", "dibs"], &[QCT_P99, BG_FCT_P99, DROPS]),
                 vec![col("pause_events_pfc", "pfc", |r| {
@@ -778,18 +812,22 @@ fn table() -> Vec<Sweep> {
             ],
             window: Some(Window::Mixed),
             xs: &[300.0, 1000.0, 2000.0],
-            arms: {
-                // Spraying reorders, so it gets the same dupack forbearance
-                // DIBS gets.
-                let mut spray = SimConfig::dctcp_baseline();
-                spray.ecmp = EcmpMode::PacketLevel;
-                spray.tcp.fast_retransmit = FastRetransmit::Disabled;
-                vec![
-                    arm("flow_ecmp", SimConfig::dctcp_baseline(), at_qps),
-                    arm("pkt_ecmp", spray, at_qps),
-                    arm("dibs", SimConfig::dctcp_dibs(), at_qps),
-                ]
-            },
+            base: at_rate,
+            arms: vec![
+                plain("flow_ecmp", Scheme::Dctcp),
+                // Spraying reorders, so it gets the same dupack
+                // forbearance DIBS gets.
+                Arm {
+                    name: "pkt_ecmp",
+                    scheme: Scheme::Dctcp,
+                    overrides: Overrides {
+                        ecmp: Some("packet".into()),
+                        fast_retransmit: Some(0),
+                        ..Overrides::default()
+                    },
+                },
+                plain("dibs", Scheme::DctcpDibs),
+            ],
             columns: per_arm(&["flow_ecmp", "pkt_ecmp", "dibs"], &[QCT_P99, DROPS]),
         },
     ]
@@ -841,6 +879,23 @@ mod tests {
                     c.name,
                     c.arm
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn every_point_is_a_valid_scenario_at_every_scale() {
+        for s in table() {
+            for scale in [Scale::Quick, Scale::Default, Scale::Full] {
+                for &x in s.xs {
+                    for arm in &s.arms {
+                        let scenario = s.scenario(x, arm, 1, scale);
+                        let valid = scenario.topology.check().and(scenario.sim_config());
+                        if let Err(e) = valid {
+                            panic!("{} x={x} {} at {scale:?}: {e}", s.id, arm.name);
+                        }
+                    }
+                }
             }
         }
     }

@@ -16,6 +16,14 @@
 //!   ]
 //! }
 //! ```
+//!
+//! The sweep table of `dibs-bench` declares every figure point as a
+//! `Scenario` too, so `dibs-sim` re-runs any point: background flows and
+//! queries come from the same `workload/background` and `workload/query`
+//! streams ([`dibs::presets::traffic_rngs`]) the presets draw from. A
+//! scenario therefore holds at most one `background` and one `query`
+//! workload. One with `long_lived` flows measures their goodput after a
+//! warmup of the first quarter of its horizon.
 
 use dibs_engine::rng::SimRng;
 use dibs_engine::time::{SimDuration, SimTime};
@@ -168,8 +176,18 @@ impl TopologySpec {
     /// its degree in place of hosts when that is larger, since it wires
     /// `switches × degree` ports.
     fn nodes_times_hosts(&self) -> u128 {
+        let (switches, mut hosts) = self.switches_and_hosts();
+        if let TopologySpec::Jellyfish { degree, .. } = *self {
+            hosts = hosts.max(degree as u128);
+        }
+        switches.saturating_add(hosts).saturating_mul(hosts.max(1))
+    }
+
+    /// The shape's switch and host counts, from its parameters alone
+    /// (saturating).
+    fn switches_and_hosts(&self) -> (u128, u128) {
         let n = |x: usize| x as u128;
-        let (switches, hosts) = match *self {
+        match *self {
             TopologySpec::FatTree { k, .. } => {
                 let k = n(k);
                 ((k * k / 4).saturating_mul(5), k.saturating_mul(k * k) / 4)
@@ -178,14 +196,9 @@ impl TopologySpec {
             TopologySpec::SingleSwitch { hosts } => (1, n(hosts)),
             TopologySpec::Jellyfish {
                 switches,
-                degree,
                 hosts_per_switch,
-            } => (
-                n(switches),
-                n(switches)
-                    .saturating_mul(n(hosts_per_switch))
-                    .max(n(degree)),
-            ),
+                ..
+            } => (n(switches), n(switches).saturating_mul(n(hosts_per_switch))),
             TopologySpec::Hyperx {
                 ref shape,
                 hosts_per_switch,
@@ -198,8 +211,7 @@ impl TopologySpec {
                 hosts_per_switch,
             } => (n(switches), n(switches).saturating_mul(n(hosts_per_switch))),
             TopologySpec::Dumbbell { hosts_per_side, .. } => (2, 2 * n(hosts_per_side)),
-        };
-        switches.saturating_add(hosts).saturating_mul(hosts.max(1))
+        }
     }
 
     /// Checks the builder's preconditions and the size budget, so a bad
@@ -390,6 +402,26 @@ impl FromJson for Overrides {
     }
 }
 
+impl Overrides {
+    /// These overrides layered over `base`: each field set here wins, and
+    /// the others keep `base`'s value.
+    pub fn over(self, base: &Overrides) -> Overrides {
+        let base = base.clone();
+        Overrides {
+            buffer_packets: self.buffer_packets.or(base.buffer_packets),
+            shared_buffer_bytes: self.shared_buffer_bytes.or(base.shared_buffer_bytes),
+            ecn_threshold: self.ecn_threshold.or(base.ecn_threshold),
+            dibs_policy: self.dibs_policy.or(base.dibs_policy),
+            min_rto_us: self.min_rto_us.or(base.min_rto_us),
+            ttl: self.ttl.or(base.ttl),
+            fast_retransmit: self.fast_retransmit.or(base.fast_retransmit),
+            ack_every: self.ack_every.or(base.ack_every),
+            ecmp: self.ecmp.or(base.ecmp),
+            pfc: self.pfc.or(base.pfc),
+        }
+    }
+}
+
 /// One traffic component, tagged by a `"type"` field in JSON.
 #[derive(Debug, Clone)]
 pub enum WorkloadSpec {
@@ -478,6 +510,12 @@ const MAX_MS: u64 = u64::MAX / 1_000_000;
 /// The largest microsecond count the nanosecond clock holds.
 const MAX_US: u64 = u64::MAX / 1_000;
 
+/// Most flows a scenario's workloads may be expected to generate, in
+/// total: 2^20, about 600 MB of flow state. The heaviest sweep point at
+/// `--full` (Fig 14: 14,000 qps for 500 ms with 40 responders) expects
+/// 280,000.
+const MAX_EXPECTED_FLOWS: u64 = 1 << 20;
+
 /// A scenario error with context.
 #[derive(Debug)]
 pub struct ScenarioError(pub String);
@@ -504,8 +542,11 @@ impl Scenario {
     }
 
     /// Resolves scheme + overrides into a `SimConfig`, rejecting every
-    /// time field that would overflow the nanosecond clock and every
-    /// traffic rate whose mean gap is not positive and finite.
+    /// time field that would overflow the nanosecond clock, every traffic
+    /// rate whose mean gap is not positive and finite, a second
+    /// `background` or `query` workload, and workloads expected to generate
+    /// more than 2^20 flows in total (checked from the parameters, before
+    /// anything is generated).
     pub fn sim_config(&self) -> Result<dibs::SimConfig, ScenarioError> {
         let too_long = |field: &str, ms: u64| {
             if ms > MAX_MS {
@@ -516,34 +557,66 @@ impl Scenario {
                 Ok(())
             }
         };
-        too_long(
-            "duration_ms + drain_ms",
-            self.duration_ms.saturating_add(self.drain_ms),
-        )?;
+        let total_ms = self.duration_ms.saturating_add(self.drain_ms);
+        too_long("duration_ms + drain_ms", total_ms)?;
+        let (mut backgrounds, mut queries, mut long_lived) = (0, 0, false);
+        let hosts = self.topology.switches_and_hosts().1 as f64;
+        let duration_ms = self.duration_ms as f64;
+        let mut expected_flows = 0.0;
         for wl in &self.workloads {
-            match *wl {
+            let (field, flows) = match *wl {
                 WorkloadSpec::Background { interarrival_ms } => {
+                    backgrounds += 1;
                     if interarrival_ms == 0 {
                         return Err(ScenarioError(
                             "interarrival_ms must be at least 1 ms".into(),
                         ));
                     }
                     too_long("interarrival_ms", interarrival_ms)?;
+                    (
+                        "background interarrival_ms",
+                        hosts * duration_ms / interarrival_ms as f64,
+                    )
                 }
-                // Queries arrive with a mean gap of 1/qps seconds, which
-                // must itself be positive and finite.
-                WorkloadSpec::Query { qps, .. }
-                    if !(qps.is_finite() && qps > 0.0 && qps.recip().is_finite()) =>
-                {
-                    return Err(ScenarioError(format!(
-                        "qps must be positive and finite with a finite reciprocal, got {qps:?}"
-                    )));
+                WorkloadSpec::Query { qps, degree, .. } => {
+                    queries += 1;
+                    // Queries arrive with a mean gap of 1/qps seconds,
+                    // which must itself be positive and finite.
+                    if !(qps.is_finite() && qps > 0.0 && qps.recip().is_finite()) {
+                        return Err(ScenarioError(format!(
+                            "qps must be positive and finite with a finite reciprocal, got \
+                             {qps:?}"
+                        )));
+                    }
+                    // A query without responders still costs an entry.
+                    let per_query = degree.max(1) as f64;
+                    ("query qps", qps * duration_ms / 1000.0 * per_query)
                 }
-                WorkloadSpec::Incast { at_ms, .. } | WorkloadSpec::Flow { at_ms, .. } => {
+                WorkloadSpec::Incast { at_ms, degree, .. } => {
                     too_long("at_ms", at_ms)?;
+                    ("incast degree", degree as f64)
                 }
-                _ => {}
+                WorkloadSpec::LongLived { flows_per_pair } => {
+                    long_lived = true;
+                    ("long_lived flows_per_pair", flows_per_pair as f64 * hosts)
+                }
+                WorkloadSpec::Flow { at_ms, .. } => {
+                    too_long("at_ms", at_ms)?;
+                    ("flow", 1.0)
+                }
+            };
+            expected_flows += flows;
+            if expected_flows > MAX_EXPECTED_FLOWS as f64 {
+                return Err(ScenarioError(format!(
+                    "{field}: the workloads would generate about {expected_flows:.3e} flows, \
+                     above the limit of {MAX_EXPECTED_FLOWS}"
+                )));
             }
+        }
+        if backgrounds > 1 || queries > 1 {
+            return Err(ScenarioError(
+                "a scenario holds at most one background and one query workload".into(),
+            ));
         }
         if self.overrides.min_rto_us.is_some_and(|us| us > MAX_US) {
             return Err(ScenarioError(format!(
@@ -557,6 +630,11 @@ impl Scenario {
         };
         cfg.seed = self.seed;
         cfg.horizon = self.horizon();
+        // Long-lived flows start together; their goodput is measured past
+        // that transient (§5.6).
+        if long_lived {
+            cfg.throughput_warmup = Some(SimTime::from_millis(total_ms / 4));
+        }
         let o = &self.overrides;
         if let Some(pkts) = o.buffer_packets {
             cfg.switch.buffer = if pkts == 0 {
@@ -628,14 +706,13 @@ impl Scenario {
         let cfg = self.sim_config()?;
         let mut sim = dibs::Simulation::new(topo, cfg);
         let duration = SimDuration::from_millis(self.duration_ms);
-        let root = SimRng::new(self.seed);
-        for (i, wl) in self.workloads.iter().enumerate() {
+        let (mut bg_rng, mut q_rng) = dibs::presets::traffic_rngs(self.seed);
+        for wl in &self.workloads {
             match *wl {
                 WorkloadSpec::Background { interarrival_ms } => {
-                    let mut rng = root.fork_idx("cli/background", i as u64);
                     sim.add_flows(
                         BackgroundTraffic::paper(SimDuration::from_millis(interarrival_ms))
-                            .generate(hosts, duration, &mut rng),
+                            .generate(hosts, duration, &mut bg_rng),
                     );
                 }
                 WorkloadSpec::Query {
@@ -648,13 +725,12 @@ impl Scenario {
                             "query degree {degree} needs more than {hosts} hosts"
                         )));
                     }
-                    let mut rng = root.fork_idx("cli/query", i as u64);
                     let queries = QueryTraffic {
                         qps,
                         degree,
                         response_bytes,
                     }
-                    .generate(hosts, duration, &mut rng);
+                    .generate(hosts, duration, &mut q_rng);
                     sim.add_queries(&queries);
                 }
                 WorkloadSpec::Incast {
@@ -929,6 +1005,51 @@ mod tests {
         )
         .unwrap();
         assert!(s.build().is_err());
+    }
+
+    #[test]
+    fn a_second_background_or_query_workload_is_an_error() {
+        for (kind, workload) in [
+            (
+                "background",
+                r#"{ "type": "background", "interarrival_ms": 50 }"#,
+            ),
+            (
+                "query",
+                r#"{ "type": "query", "qps": 10, "degree": 2, "response_bytes": 1 }"#,
+            ),
+        ] {
+            let s = Scenario::from_json(&format!(
+                r#"{{ "topology": {{ "type": "single_switch", "hosts": 4 }},
+                     "workloads": [ {workload}, {workload} ] }}"#
+            ))
+            .unwrap();
+            let err = s.sim_config().unwrap_err();
+            assert!(
+                err.0.contains("at most one background and one query"),
+                "{kind}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn long_lived_flows_are_measured_after_a_quarter_of_the_horizon() {
+        let s = Scenario::from_json(
+            r#"{
+                "topology": { "type": "single_switch", "hosts": 4 },
+                "duration_ms": 0,
+                "drain_ms": 250,
+                "workloads": [ { "type": "long_lived", "flows_per_pair": 1 } ]
+            }"#,
+        )
+        .unwrap();
+        let cfg = s.sim_config().unwrap();
+        assert_eq!(cfg.throughput_warmup, Some(SimTime::from_millis(62)));
+        let short = Scenario {
+            workloads: vec![],
+            ..s
+        };
+        assert_eq!(short.sim_config().unwrap().throughput_warmup, None);
     }
 
     #[test]

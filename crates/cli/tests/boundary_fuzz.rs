@@ -3,8 +3,9 @@
 //!
 //! Mutated copies of `scenarios/*.json` and of [`TIMED`] go through
 //! `Scenario::from_json`, `Scenario::sim_config` (which rejects every time
-//! field past the nanosecond clock and every traffic rate with no finite,
-//! positive mean gap) and `TopologySpec::check` (which
+//! field past the nanosecond clock, every traffic rate with no finite,
+//! positive mean gap and traffic expected to exceed its flow budget) and
+//! `TopologySpec::check` (which
 //! rejects a shape too large to build, from its parameters alone);
 //! mutated `--fault` and `--trace` strings go through `FaultSpec::parse`
 //! and `TraceSpec::parse`. `Scenario::build` is not fuzzed: a mutant
@@ -232,6 +233,46 @@ fn mutated_scenarios_never_panic() {
         let s = Scenario::from_json(&text).expect("well-formed scenario");
         let err = s.sim_config().expect_err("the rate is rejected");
         assert!(err.0.contains(field), "{text}: {err}");
+        no_panic("Scenario::build", &text, || assert!(s.build().is_err()));
+    }
+    // Fixed cases: traffic expected to need unbounded memory or time was
+    // handed to the generators. An incast of 2^64 - 1 responders and
+    // 2^64 - 1 long-lived flows per pair aborted the process allocating
+    // them; a finite but huge query rate (with responders or without)
+    // or background window looped without bound.
+    let workload = |json: &str| format!(r#""workloads": [{json}]"#);
+    for (field, fields) in [
+        (
+            "incast degree",
+            workload(
+                r#"{ "type": "incast", "target": 0, "degree": 18446744073709551615, "response_bytes": 1 }"#,
+            ),
+        ),
+        (
+            "long_lived flows_per_pair",
+            workload(r#"{ "type": "long_lived", "flows_per_pair": 18446744073709551615 }"#),
+        ),
+        ("query qps", workload(&query("1e300"))),
+        (
+            "query qps",
+            workload(r#"{ "type": "query", "qps": 1e300, "degree": 0, "response_bytes": 1 }"#),
+        ),
+        (
+            "background interarrival_ms",
+            format!(
+                r#""duration_ms": 1000000000, {}"#,
+                workload(r#"{ "type": "background", "interarrival_ms": 1 }"#)
+            ),
+        ),
+    ] {
+        let text = format!(r#"{{ "topology": {{ "type": "mini_testbed" }}, {fields} }}"#);
+        let s = Scenario::from_json(&text).expect("well-formed scenario");
+        let err = s.sim_config().expect_err("the traffic is over the budget");
+        assert!(
+            err.0
+                .contains(&format!("{field}: the workloads would generate")),
+            "{text}: {err}"
+        );
         no_panic("Scenario::build", &text, || assert!(s.build().is_err()));
     }
     // The largest times the clock holds are accepted.

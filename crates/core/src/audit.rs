@@ -37,8 +37,8 @@ pub struct LedgerSnapshot {
     pub delivered: u64,
     /// All drops: TTL, buffer, displacement, host NIC, faults.
     pub dropped: u64,
-    /// Packets still in the packet store: queued at a NIC, CIOQ ingress,
-    /// or switch buffer, or riding inside a scheduled event.
+    /// Packets still in the packet store: queued at a NIC or in a switch
+    /// buffer, or riding inside a scheduled event.
     pub in_flight: u64,
 }
 

@@ -24,41 +24,6 @@ pub struct PfcConfig {
     pub control_delay: SimDuration,
 }
 
-impl PfcConfig {
-    /// Defaults sized for the paper's 100-packet-per-port buffers: with up
-    /// to ~7 switch-facing ingresses able to feed one output queue, the
-    /// per-ingress XOFF must satisfy `ingresses x xoff + headroom < 100`
-    /// (the standard PFC headroom calculation the paper calls "difficult
-    /// to tune", §6).
-    pub fn default_for_paper_buffers() -> Self {
-        PfcConfig {
-            xoff: 12,
-            xon: 6,
-            control_delay: SimDuration::from_micros(1),
-        }
-    }
-}
-
-/// Switch internal architecture (§4 "Switch buffer management").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SwitchArch {
-    /// Pure output queueing: arriving packets go straight to their egress
-    /// queue (the paper's primary description and our default).
-    OutputQueued,
-    /// Combined input/output queueing: packets wait in a per-input-port
-    /// ingress queue for the forwarding engine, which moves them to the
-    /// egress queues at `speedup x` line rate. DIBS runs at the forwarding
-    /// engine exactly as §4 describes: "if the desired output queue is
-    /// full, the forwarding engine can detour the packet to another output
-    /// port".
-    Cioq {
-        /// Forwarding-engine speedup relative to line rate (2.0 is common).
-        speedup: f64,
-        /// Per-input-port ingress queue capacity, in packets.
-        ingress_packets: usize,
-    },
-}
-
 /// How switches pick among equal-cost next hops (§3, §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EcmpMode {
@@ -93,8 +58,6 @@ pub struct SimConfig {
     pub throughput_warmup: Option<dibs_engine::time::SimTime>,
     /// Equal-cost multipath mode.
     pub ecmp: EcmpMode,
-    /// Switch internal architecture.
-    pub arch: SwitchArch,
     /// Hop-by-hop Ethernet flow control (`None` = off, the default; the
     /// paper's §6 baseline comparison).
     pub pfc: Option<PfcConfig>,
@@ -116,7 +79,6 @@ impl SimConfig {
             sample_interval: None,
             throughput_warmup: None,
             ecmp: EcmpMode::FlowLevel,
-            arch: SwitchArch::OutputQueued,
             pfc: None,
             host_nic_cap: 10_000,
         }

@@ -39,7 +39,7 @@ pub mod results;
 pub mod rundesc;
 pub mod sim;
 
-pub use config::{EcmpMode, PfcConfig, SimConfig, SwitchArch};
+pub use config::{EcmpMode, PfcConfig, SimConfig};
 pub use results::{FlowOutcome, QueryOutcome, RunDigest, RunResults};
 pub use rundesc::RunDescriptor;
 pub use sim::Simulation;

@@ -1,8 +1,10 @@
 //! Canonical experiment setups from the paper's evaluation.
 //!
-//! Every figure binary in `dibs-bench` builds on these: the K=8 fat-tree
-//! mixed workload of §5.3 (background + partition-aggregate queries) and the
-//! §5.2 Click-testbed incast.
+//! The figure binaries of `dibs-bench` and the benchmark build on these:
+//! the K=8 fat-tree mixed workload of §5.3 (background +
+//! partition-aggregate queries), the §5.2 Click-testbed incast and the
+//! Fig 1/2 single incast. The sweep rows declare theirs as `dibs-cli`
+//! scenarios, which draw traffic from the same [`traffic_rngs`].
 
 use crate::config::SimConfig;
 use crate::sim::Simulation;
@@ -10,8 +12,8 @@ use dibs_engine::rng::SimRng;
 use dibs_engine::time::{SimDuration, SimTime};
 use dibs_net::builders::{fat_tree, mini_testbed, FatTreeParams};
 use dibs_net::ids::HostId;
-use dibs_net::topology::{LinkSpec, Topology};
-use dibs_workload::{BackgroundTraffic, FlowClass, FlowSpec, QueryTraffic};
+use dibs_net::topology::LinkSpec;
+use dibs_workload::{BackgroundTraffic, QueryTraffic};
 
 /// Parameters of the §5.3 mixed workload (Table 2).
 #[derive(Debug, Clone, Copy)]
@@ -51,39 +53,27 @@ impl MixedWorkload {
 }
 
 /// Builds the §5.3 simulation: K=8 fat-tree (or a custom `params`) carrying
-/// the mixed workload under the given switch/host configuration.
+/// the mixed workload under the given switch/host configuration, with the
+/// horizon set to cover the workload.
 ///
-/// The seed in `config` drives *both* workload generation and the
-/// simulator's internal randomness, so two configs with the same seed see
-/// identical traffic — exactly how the paper compares DCTCP with and
-/// without DIBS.
-pub fn mixed_workload_sim(
-    tree: FatTreeParams,
-    config: SimConfig,
-    workload: MixedWorkload,
-) -> Simulation {
-    mixed_workload_on(fat_tree(tree), config, workload)
-}
-
-/// [`mixed_workload_sim`] on any topology: background flows and queries
-/// drawn from the `workload/background` and `workload/query` forks of
-/// `config.seed`, with the horizon set to cover the workload.
+/// The seed in `config` drives *both* workload generation (through
+/// [`traffic_rngs`]) and the simulator's internal randomness, so two
+/// configs with the same seed see identical traffic — exactly how the
+/// paper compares DCTCP with and without DIBS.
 ///
 /// # Panics
 ///
 /// Panics if `workload.incast_degree` is not below the host count.
-pub fn mixed_workload_on(
-    topo: Topology,
+pub fn mixed_workload_sim(
+    tree: FatTreeParams,
     mut config: SimConfig,
     workload: MixedWorkload,
 ) -> Simulation {
     config.horizon = workload.horizon();
+    let topo = fat_tree(tree);
     let hosts = topo.num_hosts();
     let mut sim = Simulation::new(topo, config);
-
-    let root = SimRng::new(config.seed);
-    let mut bg_rng = root.fork("workload/background");
-    let mut q_rng = root.fork("workload/query");
+    let (mut bg_rng, mut q_rng) = traffic_rngs(config.seed);
 
     let bg = BackgroundTraffic::paper(workload.bg_interarrival);
     sim.add_flows(bg.generate(hosts, workload.duration, &mut bg_rng));
@@ -96,6 +86,19 @@ pub fn mixed_workload_on(
     let queries = qt.generate(hosts, workload.duration, &mut q_rng);
     sim.add_queries(&queries);
     sim
+}
+
+/// The random streams background flows and queries are drawn from: the
+/// `workload/background` and `workload/query` forks of `seed`, in that
+/// order. [`mixed_workload_sim`] and `dibs-cli`'s scenarios both draw from
+/// them, so a scenario with the same seed re-runs a figure point's
+/// traffic.
+pub fn traffic_rngs(seed: u64) -> (SimRng, SimRng) {
+    let root = SimRng::new(seed);
+    (
+        root.fork("workload/background"),
+        root.fork("workload/query"),
+    )
 }
 
 /// The §5.2 Click/Emulab incast test: on the 2-aggregation / 3-edge
@@ -151,39 +154,9 @@ pub fn single_incast_sim(
     sim
 }
 
-/// The §5.6 fairness run: 64 node-disjoint pairs, `n` long-lived flows per
-/// direction per pair, measured over `horizon`.
-pub fn fairness_sim(
-    tree: FatTreeParams,
-    mut config: SimConfig,
-    flows_per_pair: usize,
-    horizon: SimTime,
-) -> Simulation {
-    config.horizon = horizon;
-    let topo = fat_tree(tree);
-    let hosts = topo.num_hosts();
-    let mut sim = Simulation::new(topo, config);
-    sim.add_flows(dibs_workload::long_lived_pairs(hosts, flows_per_pair));
-    sim
-}
-
-/// A flow from every host to host 0 — handy for saturation tests.
-pub fn all_to_one_flows(hosts: usize, bytes: u64) -> Vec<FlowSpec> {
-    (1..hosts)
-        .map(|i| FlowSpec {
-            start: SimTime::ZERO,
-            src: HostId::from_index(i),
-            dst: HostId(0),
-            size: bytes,
-            class: FlowClass::Background,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dibs_workload::FlowClass;
 
     #[test]
     fn workload_horizon_covers_duration_and_drain() {
@@ -208,15 +181,6 @@ mod tests {
         // The query expands into 50 response flows targeting the last host.
         // (Verified indirectly: the simulation runs them all to completion
         // in the integration tests.)
-    }
-
-    #[test]
-    fn all_to_one_covers_every_other_host() {
-        let flows = all_to_one_flows(9, 1000);
-        assert_eq!(flows.len(), 8);
-        assert!(flows.iter().all(|f| f.dst == HostId(0)));
-        assert!(flows.iter().all(|f| f.src != f.dst));
-        assert!(flows.iter().all(|f| f.class == FlowClass::Background));
     }
 
     #[test]

@@ -53,13 +53,6 @@ enum Event {
     Sample,
     /// Snapshot per-flow delivered bytes for warmup-relative throughput.
     WarmupSnapshot,
-    /// A switch ingress pipeline finished the forwarding delay for `pkt`
-    /// arriving on `port` and the packet is ready to be routed/enqueued.
-    ForwardDone {
-        node: NodeId,
-        port: u32,
-        pkt: PktRef,
-    },
     /// A PAUSE (true) or RESUME (false) frame took effect at `node`'s
     /// `port` (Ethernet flow control, §6).
     PauseSet {
@@ -80,8 +73,7 @@ const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 /// [`Topology::directed_edges`]).
 #[derive(Default)]
 struct PortState {
-    /// Packets waiting at the port outside any switch buffer: a host's
-    /// egress FIFO, or a CIOQ switch's ingress queue.
+    /// Host only: the egress FIFO (a switch queues in its buffer).
     queue: VecDeque<PktRef>,
     /// Bytes sent since the last sample tick (Figs 4, 5).
     tx_bytes: u64,
@@ -94,8 +86,6 @@ struct PortState {
     paused: bool,
     /// Switch only: this port has PAUSEd its link partner.
     pause_asserted: bool,
-    /// CIOQ only: the port's forwarding engine is moving a packet.
-    forwarding: bool,
     /// The port's link is faulted down (set on both ends).
     link_down: bool,
 }
@@ -477,15 +467,14 @@ impl Simulation {
     }
 
     /// Debug-build leak check at the end of a run: every live handle sits
-    /// in exactly one place a packet can wait — a port queue (host FIFO or
-    /// CIOQ ingress), a switch buffer, or an event the horizon cut off — so a
-    /// handle some drop path forgot to release, or one queued twice, shows
-    /// up here. Drains the engine, so it runs after the results are read.
+    /// in exactly one place a packet can wait — a host FIFO, a switch
+    /// buffer, or an event the horizon cut off — so a handle some drop
+    /// path forgot to release, or one queued twice, shows up here. Drains
+    /// the engine, so it runs after the results are read.
     fn debug_check_handles(&mut self) {
         let mut in_events = 0u64;
         while let Some((_, ev)) = self.engine.queue_mut().pop() {
-            if let Event::Arrive { .. } | Event::TxComplete { .. } | Event::ForwardDone { .. } = ev
-            {
+            if let Event::Arrive { .. } | Event::TxComplete { .. } = ev {
                 in_events += 1;
             }
         }
@@ -508,9 +497,6 @@ impl Simulation {
             Event::RtoFire { flow, gen } => self.on_rto(flow as usize, gen),
             Event::Sample => self.on_sample(),
             Event::WarmupSnapshot => self.on_warmup_snapshot(),
-            Event::ForwardDone { node, port, pkt } => {
-                self.on_forward_done(node, port as usize, pkt)
-            }
             Event::PauseSet { node, port, paused } => {
                 self.on_pause_set(node, port as usize, paused)
             }
@@ -619,8 +605,7 @@ impl Simulation {
 
     /// Crashes a switch permanently: every buffered packet is destroyed
     /// (with its PFC ingress accounting unwound so paused neighbors
-    /// resume), ingress pipelines are emptied, and routes recompute to
-    /// steer around the dead node.
+    /// resume), and routes recompute to steer around the dead node.
     fn crash_switch(&mut self, node: NodeId) {
         let si = self
             .topo
@@ -639,17 +624,6 @@ impl Simulation {
             self.counters.drops_fault += 1;
             let pkt = self.discard(r, node, TraceKind::Drop);
             self.pfc_on_dequeued(node, usize::from(pkt.last_ingress));
-        }
-        // CIOQ ingress queues die too; those packets were never counted
-        // into PFC buffering, so no XON bookkeeping here.
-        let first = self.port_index(node, 0);
-        let ingress: Vec<PktRef> = self.ports[first..first + self.topo.num_ports(node)]
-            .iter_mut()
-            .flat_map(|p| std::mem::take(&mut p.queue))
-            .collect();
-        for r in ingress {
-            self.counters.drops_fault += 1;
-            self.discard(r, node, TraceKind::Drop);
         }
         self.refresh_routes();
     }
@@ -873,75 +847,10 @@ impl Simulation {
             pkt.detours,
             pkt.hops
         );
-        let ingress = usize::from(pkt.last_ingress);
-
-        if let crate::config::SwitchArch::Cioq {
-            ingress_packets, ..
-        } = self.config.arch
-        {
-            // CIOQ: queue at the ingress; the forwarding engine moves
-            // packets to egress at speedup x line rate.
-            let pi = self.port_index(node, ingress);
-            if self.ports[pi].queue.len() >= ingress_packets {
-                self.counters.drops_buffer += 1;
-                self.discard(r, node, TraceKind::Drop);
-                return;
-            }
-            self.ports[pi].queue.push_back(r);
-            self.start_forwarding(node, ingress);
-            return;
-        }
         self.route_and_enqueue(node, si, r);
     }
 
-    /// CIOQ: start the ingress port's forwarding engine if idle.
-    fn start_forwarding(&mut self, node: NodeId, ingress: usize) {
-        let pi = self.port_index(node, ingress);
-        if self.ports[pi].forwarding {
-            return;
-        }
-        let Some(pkt) = self.ports[pi].queue.pop_front() else {
-            return;
-        };
-        let crate::config::SwitchArch::Cioq { speedup, .. } = self.config.arch else {
-            unreachable!("ingress queues are only fed in CIOQ mode");
-        };
-        self.ports[pi].forwarding = true;
-        // Speedup is a small positive factor; the scaled rate stays far
-        // below u64::MAX for any physical link.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let rate = (self.topo.port(node, ingress).rate_bps as f64 * speedup) as u64;
-        let wire_bytes = self.store.get(pkt).wire_bytes;
-        let service = SimDuration::serialization(u64::from(wire_bytes), rate.max(1));
-        self.engine.schedule_in(
-            service,
-            Event::ForwardDone {
-                node,
-                port: u32::try_from(ingress).expect("port index fits u32"),
-                pkt,
-            },
-        );
-    }
-
-    /// CIOQ: the forwarding engine of `node`'s ingress `port` finished
-    /// moving `pkt`; admit it to an egress queue and start the next one.
-    fn on_forward_done(&mut self, node: NodeId, port: usize, pkt: PktRef) {
-        let pi = self.port_index(node, port);
-        self.ports[pi].forwarding = false;
-        let si = self.topo.as_switch(node).expect("switch").index();
-        if self.fault_crashed(node) {
-            // The switch crashed while this packet was in its forwarding
-            // pipeline; it dies with the switch.
-            self.counters.drops_fault += 1;
-            self.discard(pkt, node, TraceKind::Drop);
-            return;
-        }
-        self.route_and_enqueue(node, si, pkt);
-        self.start_forwarding(node, port);
-    }
-
-    /// FIB lookup + egress admission (the §2 data path), common to both
-    /// switch architectures.
+    /// FIB lookup + egress admission (the §2 data path).
     fn route_and_enqueue(&mut self, node: NodeId, si: usize, r: PktRef) {
         if self.fault_should_drop(r) {
             self.counters.drops_fault += 1;

@@ -32,16 +32,6 @@ impl FatTreeParams {
         }
     }
 
-    /// Same fabric with inter-switch capacity divided by `divisor`
-    /// (the §5.5.4 oversubscription experiment).
-    pub fn oversubscribed(divisor: u64) -> Self {
-        let d = FatTreeParams::paper_default();
-        FatTreeParams {
-            fabric_link: d.fabric_link.slower_by(divisor),
-            ..d
-        }
-    }
-
     /// Number of hosts this fat-tree will have.
     pub fn num_hosts(&self) -> usize {
         self.k * self.k * self.k / 4
@@ -394,7 +384,10 @@ mod tests {
 
     #[test]
     fn fat_tree_oversubscription_lowers_fabric_only() {
-        let t = fat_tree(FatTreeParams::oversubscribed(4));
+        let t = fat_tree(FatTreeParams {
+            fabric_link: LinkSpec::gbit(1).slower_by(4),
+            ..FatTreeParams::paper_default()
+        });
         for (pr, port) in t.directed_edges() {
             let host_side = t.is_host(pr.node) || port.peer_is_host;
             if host_side {

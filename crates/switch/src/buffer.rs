@@ -39,15 +39,6 @@ impl BufferConfig {
     pub fn paper_default() -> Self {
         BufferConfig::StaticPerPort { packets: 100 }
     }
-
-    /// The §5.5.2 shared-memory switch: 1.7 MB shared across the ports.
-    pub fn arista_like() -> Self {
-        BufferConfig::DynamicShared {
-            total_bytes: 1_700_000,
-            alpha: 1.0,
-            per_port_reserve_bytes: 2 * 1500,
-        }
-    }
 }
 
 /// Tracks shared-memory usage and answers "does this packet fit on this
@@ -261,7 +252,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "underflow")]
     fn dequeue_underflow_is_a_bug() {
-        let mut mgr = BufferManager::new(BufferConfig::arista_like());
+        let mut mgr = BufferManager::new(BufferConfig::DynamicShared {
+            total_bytes: 1_700_000,
+            alpha: 1.0,
+            per_port_reserve_bytes: 2 * 1500,
+        });
         mgr.on_dequeue(1500);
     }
 }

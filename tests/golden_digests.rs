@@ -11,7 +11,7 @@
 //! reason a refactor can claim "no behavior change" with a straight face.
 
 use dibs::presets::{single_incast_sim, testbed_incast_sim};
-use dibs::{FaultSpec, PfcConfig, RunDescriptor, RunDigest, SimConfig, SwitchArch};
+use dibs::{FaultSpec, PfcConfig, RunDescriptor, RunDigest, SimConfig};
 use dibs_engine::rng::hash_bytes;
 use dibs_engine::time::SimDuration;
 use dibs_net::builders::FatTreeParams;
@@ -144,24 +144,14 @@ fn golden_random_drop_soak() {
 fn golden_pfc_testbed_incast() {
     let d = RunDescriptor::new("golden_pfc_testbed_incast", "pfc", 5, 0);
     let mut cfg = SimConfig::dctcp_baseline().with_seed(d.seed(MASTER_SEED));
-    cfg.pfc = Some(PfcConfig::default_for_paper_buffers());
+    cfg.pfc = Some(PfcConfig {
+        xoff: 12,
+        xon: 6,
+        control_delay: SimDuration::from_micros(1),
+    });
     let results = testbed_incast_sim(cfg, 5, 10, 32_000).run();
     assert!(results.pfc_pause_events > 0, "PFC never paused a link");
     check("pfc_testbed_incast", &RunDigest::of(&results), GOLDEN_PFC);
-}
-
-/// §4 CIOQ family: the testbed incast under DIBS with input queues and a
-/// 2x forwarding engine.
-#[test]
-fn golden_cioq_testbed_incast() {
-    let d = RunDescriptor::new("golden_cioq_testbed_incast", "dibs", 5, 0);
-    let mut cfg = SimConfig::dctcp_dibs().with_seed(d.seed(MASTER_SEED));
-    cfg.arch = SwitchArch::Cioq {
-        speedup: 2.0,
-        ingress_packets: 64,
-    };
-    let results = testbed_incast_sim(cfg, 5, 10, 32_000).run();
-    check("cioq_testbed_incast", &RunDigest::of(&results), GOLDEN_CIOQ);
 }
 
 /// Fig 4/5 family: 1 ms sampling of hot links and neighbor free buffer
@@ -216,8 +206,7 @@ const GOLDEN_INCAST_LINK_FLAP: u64 = 0xa3d8_aa6e_ad6b_91a1;
 const GOLDEN_BUFFER_CRASH: u64 = 0x6a59_908d_0bba_c125;
 const GOLDEN_RANDOM_SOAK: u64 = 0x6ba2_5988_d5f8_fa69;
 
-// Port-model pins: PFC pause/resume, CIOQ forwarding, and the sampling
-// tick that reads the per-port byte counters.
+// Port-model pins: PFC pause/resume and the sampling tick that reads the
+// per-port byte counters.
 const GOLDEN_PFC: u64 = 0x4e1c_2b0c_ad12_ae9a;
-const GOLDEN_CIOQ: u64 = 0xe3f2_edcd_9caf_8a14;
 const GOLDEN_SAMPLES: u64 = 0x2fd4_182c_c0a1_7682;
