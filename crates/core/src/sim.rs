@@ -21,8 +21,8 @@ use dibs_net::routing::{EcmpMemo, Fib};
 use dibs_net::topology::Topology;
 use dibs_stats::{NetCounters, Samples};
 use dibs_switch::{EnqueueOutcome, SwitchCore};
-use dibs_trace::{TraceEvent, TraceKind, TraceSink, Tracer};
-use dibs_transport::{trace_packet_out, IdGen, TcpReceiver, TcpSender};
+use dibs_trace::{Subject, TraceKind, Tracer};
+use dibs_transport::{IdGen, TcpReceiver, TcpSender};
 use dibs_workload::{FlowClass, FlowSpec, QuerySpec};
 use std::collections::VecDeque;
 
@@ -195,7 +195,7 @@ pub struct Simulation {
     audit: AuditLedger,
     /// Installed fault schedule, if any (see [`Simulation::set_faults`]).
     faults: Option<FaultState>,
-    /// Event-trace sink (`Tracer::Off` by default: one dead branch per
+    /// Event-trace sink ([`Tracer::off`] by default: one dead branch per
     /// potential event, nothing recorded, no RNG or scheduling impact).
     tracer: Tracer,
 }
@@ -673,21 +673,21 @@ impl Simulation {
 
     fn host_send(&mut self, host: HostId, pkt: Packet) {
         self.counters.packets_sent += 1;
-        if self.tracer.is_enabled() {
-            trace_packet_out(
-                &pkt,
-                self.engine.now().as_nanos(),
-                self.topo.host_node(host).0,
-                &mut self.tracer,
-            );
-        }
         let node = self.topo.host_node(host);
+        let now_ns = self.engine.now().as_nanos();
+        if self.tracer.is_enabled() {
+            // Classifying the packet costs more than this one branch.
+            let kind = TraceKind::sent(&pkt);
+            self.tracer
+                .emit(kind, now_ns, Subject::Packet(&pkt), node.0, 0, 0);
+        }
         let pi = self.port_index(node, 0);
         if self.ports[pi].queue.len() >= self.config.host_nic_cap {
             // Qdisc-style local drop, before the packet ever enters the
             // store; the transport retransmits later.
             self.counters.drops_host_nic += 1;
-            self.trace_pkt(TraceKind::Drop, node.0, &pkt);
+            self.tracer
+                .emit(TraceKind::Drop, now_ns, Subject::Packet(&pkt), node.0, 0, 0);
             return;
         }
         let r = self.store.insert(pkt);
@@ -695,36 +695,30 @@ impl Simulation {
         self.kick(node, 0);
     }
 
-    /// Records a host-side or delivery-side trace event. Costs one dead
-    /// branch when tracing is off; never perturbs simulation state.
-    fn trace_pkt(&mut self, kind: TraceKind, node: u32, pkt: &Packet) {
-        if self.tracer.wants(kind) {
-            self.tracer.record(TraceEvent {
-                t_ns: self.engine.now().as_nanos(),
-                packet: pkt.id.0,
-                flow: pkt.flow.0,
-                node,
-                port: 0,
-                qlen: 0,
-                detours: pkt.detours,
-                kind,
-            });
-        }
-    }
-
     /// Takes a packet that leaves the fabric undelivered out of the store
     /// and records `kind` at `node`.
     fn discard(&mut self, r: PktRef, node: NodeId, kind: TraceKind) -> Packet {
         let pkt = self.store.release(r);
-        self.trace_pkt(kind, node.0, &pkt);
+        let now_ns = self.engine.now().as_nanos();
+        self.tracer
+            .emit(kind, now_ns, Subject::Packet(&pkt), node.0, 0, 0);
         pkt
     }
 
     fn deliver(&mut self, host: HostId, pkt: Packet) {
         debug_assert_eq!(pkt.dst, host, "misrouted packet");
         if self.tracer.is_enabled() {
-            let dst_node = self.topo.host_node(host).0;
-            self.trace_pkt(TraceKind::Deliver, dst_node, &pkt);
+            // The node lookup costs more than this one branch.
+            let node = self.topo.host_node(host).0;
+            let now_ns = self.engine.now().as_nanos();
+            self.tracer.emit(
+                TraceKind::Deliver,
+                now_ns,
+                Subject::Packet(&pkt),
+                node,
+                0,
+                0,
+            );
         }
         self.counters.packets_delivered += 1;
         self.counters.delivered_hops += u64::from(pkt.hops);

@@ -12,7 +12,7 @@ use dibs_engine::rng::SimRng;
 use dibs_net::packet::{Packet, PacketStore, PktRef};
 use dibs_net::routing::EcmpMemo;
 use dibs_net::{HostId, NodeId};
-use dibs_trace::{TraceEvent, TraceKind, TraceSink};
+use dibs_trace::{Subject, TraceKind, Tracer};
 
 /// Static configuration of one switch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,8 +70,6 @@ pub enum DropReason {
     BufferFull,
     /// Displaced from a pFabric queue by a higher-priority arrival.
     PriorityDisplaced,
-    /// TTL expired (counted by the simulator core, which owns TTL).
-    TtlExpired,
 }
 
 /// Result of offering a packet to the switch.
@@ -256,18 +254,18 @@ impl SwitchCore {
     /// updated in place in `store` (detour count, CE mark); the switch never
     /// releases a handle, so a `Dropped` arrival and a displaced resident
     /// go back to the caller. Every queue transition (enqueue, detour, ECN
-    /// mark, drop, displacement) is reported through `sink`, stamped with
-    /// simulated time `t_ns`. The sink is consulted via [`TraceSink::wants`]
-    /// before any event is built, so a disabled sink costs one branch per
-    /// transition; untraced callers pass `&mut NullSink`.
-    pub fn enqueue<S: TraceSink>(
+    /// mark, drop, displacement) is reported to `tracer`, stamped with
+    /// simulated time `t_ns` and the port's depth after the transition; a
+    /// kind the tracer does not capture costs one branch per transition,
+    /// and untraced callers pass `&mut Tracer::off()`.
+    pub fn enqueue(
         &mut self,
         store: &mut PacketStore,
         pkt: PktRef,
         desired_port: usize,
         rng: &mut SimRng,
         t_ns: u64,
-        sink: &mut S,
+        tracer: &mut Tracer,
     ) -> EnqueueResult {
         debug_assert!(desired_port < self.queues.len());
         let fits = self
@@ -285,25 +283,25 @@ impl SwitchCore {
                     .early_detour_probability(self.occupancy(desired_port));
                 if p_early > 0.0 && rng.chance(p_early) {
                     if let Some(port) = self.pick_detour(store.get(pkt), desired_port, rng) {
-                        return self.admit(store, pkt, port, true, t_ns, sink);
+                        return self.admit(store, pkt, port, true, t_ns, tracer);
                     }
                 }
             }
-            return self.admit(store, pkt, desired_port, false, t_ns, sink);
+            return self.admit(store, pkt, desired_port, false, t_ns, tracer);
         }
 
         // Desired queue full.
         if self.config.discipline == Discipline::Pfabric {
-            return self.pfabric_displace(store, pkt, desired_port, t_ns, sink);
+            return self.pfabric_displace(store, pkt, desired_port, t_ns, tracer);
         }
         match self.pick_detour(store.get(pkt), desired_port, rng) {
-            Some(port) => self.admit(store, pkt, port, true, t_ns, sink),
+            Some(port) => self.admit(store, pkt, port, true, t_ns, tracer),
             None => self.reject(
                 store.get(pkt),
                 desired_port,
                 DropReason::BufferFull,
                 t_ns,
-                sink,
+                tracer,
             ),
         }
     }
@@ -311,20 +309,25 @@ impl SwitchCore {
     /// Removes the next packet to transmit from `port` and returns its
     /// handle. The `Dequeue` trace event carries the port's depth after
     /// the pop.
-    pub fn dequeue<S: TraceSink>(
+    pub fn dequeue(
         &mut self,
         store: &PacketStore,
         port: usize,
         t_ns: u64,
-        sink: &mut S,
+        tracer: &mut Tracer,
     ) -> Option<PktRef> {
         let entry = self.queues[port].pop()?;
         self.buffer.on_dequeue(entry.wire_bytes);
         self.counters.dequeued += 1;
         self.debug_audit_port(port);
-        if sink.wants(TraceKind::Dequeue) {
-            sink.record(self.queue_event(TraceKind::Dequeue, t_ns, store.get(entry.pkt), port));
-        }
+        tracer.emit(
+            TraceKind::Dequeue,
+            t_ns,
+            Subject::Packet(store.get(entry.pkt)),
+            self.node.0,
+            port,
+            self.queues[port].len(),
+        );
         Some(entry.pkt)
     }
 
@@ -345,21 +348,6 @@ impl SwitchCore {
             self.debug_audit_port(port);
         }
         out
-    }
-
-    /// Builds a queue-transition event for `pkt` at `port`; `qlen` is the
-    /// port's current depth (i.e. already reflecting the transition).
-    fn queue_event(&self, kind: TraceKind, t_ns: u64, pkt: &Packet, port: usize) -> TraceEvent {
-        TraceEvent {
-            t_ns,
-            packet: pkt.id.0,
-            flow: pkt.flow.0,
-            node: self.node.0,
-            port: u16::try_from(port).unwrap_or(u16::MAX),
-            qlen: u16::try_from(self.queues[port].len()).unwrap_or(u16::MAX),
-            detours: pkt.detours,
-            kind,
-        }
     }
 
     /// Debug-build audit of the per-port buffer invariants after any
@@ -391,20 +379,20 @@ impl SwitchCore {
 
     /// Queues the packet behind `r` on `port`: on its desired port, or as
     /// a detour (which bumps its detour count and may CE-mark it, §5.3).
-    fn admit<S: TraceSink>(
+    fn admit(
         &mut self,
         store: &mut PacketStore,
         r: PktRef,
         port: usize,
         detoured: bool,
         t_ns: u64,
-        sink: &mut S,
+        tracer: &mut Tracer,
     ) -> EnqueueResult {
         let pkt = store.get_mut(r);
         if detoured {
             pkt.detours += 1;
         }
-        self.maybe_mark(pkt, port, detoured, t_ns, sink);
+        self.maybe_mark(pkt, port, detoured, t_ns, tracer);
         let entry = QueueEntry::of(r, pkt);
         self.buffer.on_enqueue(entry.wire_bytes);
         self.queues[port].push(entry);
@@ -416,9 +404,14 @@ impl SwitchCore {
             (TraceKind::Enqueue, EnqueueOutcome::Enqueued { port })
         };
         self.debug_audit_port(port);
-        if sink.wants(kind) {
-            sink.record(self.queue_event(kind, t_ns, pkt, port));
-        }
+        tracer.emit(
+            kind,
+            t_ns,
+            Subject::Packet(pkt),
+            self.node.0,
+            port,
+            self.queues[port].len(),
+        );
         EnqueueResult {
             outcome,
             displaced: None,
@@ -426,31 +419,36 @@ impl SwitchCore {
     }
 
     /// Refuses an arrival that found no room on `port`.
-    fn reject<S: TraceSink>(
+    fn reject(
         &mut self,
         pkt: &Packet,
         port: usize,
         reason: DropReason,
         t_ns: u64,
-        sink: &mut S,
+        tracer: &mut Tracer,
     ) -> EnqueueResult {
         self.counters.dropped_full += 1;
-        if sink.wants(TraceKind::Drop) {
-            sink.record(self.queue_event(TraceKind::Drop, t_ns, pkt, port));
-        }
+        tracer.emit(
+            TraceKind::Drop,
+            t_ns,
+            Subject::Packet(pkt),
+            self.node.0,
+            port,
+            self.queues[port].len(),
+        );
         EnqueueResult {
             outcome: EnqueueOutcome::Dropped(reason),
             displaced: None,
         }
     }
 
-    fn maybe_mark<S: TraceSink>(
+    fn maybe_mark(
         &mut self,
         pkt: &mut Packet,
         port: usize,
         detoured: bool,
         t_ns: u64,
-        sink: &mut S,
+        tracer: &mut Tracer,
     ) {
         if !pkt.is_data() {
             // DCTCP marks data packets; acks are not marked.
@@ -463,9 +461,14 @@ impl SwitchCore {
         if over_threshold || (detoured && self.config.mark_detoured) {
             if !pkt.ce {
                 self.counters.marked += 1;
-                if sink.wants(TraceKind::EcnMark) {
-                    sink.record(self.queue_event(TraceKind::EcnMark, t_ns, pkt, port));
-                }
+                tracer.emit(
+                    TraceKind::EcnMark,
+                    t_ns,
+                    Subject::Packet(pkt),
+                    self.node.0,
+                    port,
+                    self.queues[port].len(),
+                );
             }
             pkt.mark_ce();
         }
@@ -512,23 +515,23 @@ impl SwitchCore {
         choice
     }
 
-    fn pfabric_displace<S: TraceSink>(
+    fn pfabric_displace(
         &mut self,
         store: &PacketStore,
         r: PktRef,
         port: usize,
         t_ns: u64,
-        sink: &mut S,
+        tracer: &mut Tracer,
     ) -> EnqueueResult {
         // pFabric (§5.8): on overflow, drop the lowest-priority resident if
         // the arrival beats it; otherwise drop the arrival.
         let pkt = store.get(r);
         let Some((worst_idx, worst_priority)) = self.queues[port].lowest_priority() else {
             // Queue capacity zero: nothing to displace.
-            return self.reject(pkt, port, DropReason::BufferFull, t_ns, sink);
+            return self.reject(pkt, port, DropReason::BufferFull, t_ns, tracer);
         };
         if pkt.priority >= worst_priority {
-            return self.reject(pkt, port, DropReason::PriorityDisplaced, t_ns, sink);
+            return self.reject(pkt, port, DropReason::PriorityDisplaced, t_ns, tracer);
         }
         let displaced = self.queues[port].remove(worst_idx);
         self.buffer.on_dequeue(displaced.wire_bytes);
@@ -538,14 +541,23 @@ impl SwitchCore {
         self.counters.displaced += 1;
         self.counters.enqueued += 1;
         self.debug_audit_port(port);
-        if sink.wants(TraceKind::Drop) {
-            // The displaced resident leaves the fabric here.
-            let evicted = store.get(displaced.pkt);
-            sink.record(self.queue_event(TraceKind::Drop, t_ns, evicted, port));
-        }
-        if sink.wants(TraceKind::Enqueue) {
-            sink.record(self.queue_event(TraceKind::Enqueue, t_ns, pkt, port));
-        }
+        // The displaced resident leaves the fabric here.
+        tracer.emit(
+            TraceKind::Drop,
+            t_ns,
+            Subject::Packet(store.get(displaced.pkt)),
+            self.node.0,
+            port,
+            self.queues[port].len(),
+        );
+        tracer.emit(
+            TraceKind::Enqueue,
+            t_ns,
+            Subject::Packet(pkt),
+            self.node.0,
+            port,
+            self.queues[port].len(),
+        );
         EnqueueResult {
             outcome: EnqueueOutcome::Enqueued { port },
             displaced: Some(displaced.pkt),
@@ -558,7 +570,7 @@ mod tests {
     use super::*;
     use dibs_engine::time::SimTime;
     use dibs_net::ids::{FlowId, HostId, PacketId};
-    use dibs_trace::NullSink;
+    use dibs_trace::TraceSpec;
 
     fn pkt(id: u64) -> Packet {
         Packet::data(
@@ -582,12 +594,12 @@ mod tests {
         rng: &mut SimRng,
     ) -> EnqueueResult {
         let r = store.insert(p);
-        sw.enqueue(store, r, port, rng, 0, &mut NullSink)
+        sw.enqueue(store, r, port, rng, 0, &mut Tracer::off())
     }
 
     /// Dequeues from `port`, untraced, and takes the packet out of `store`.
     fn take(sw: &mut SwitchCore, store: &mut PacketStore, port: usize) -> Option<Packet> {
-        let r = sw.dequeue(store, port, 0, &mut NullSink)?;
+        let r = sw.dequeue(store, port, 0, &mut Tracer::off())?;
         Some(store.release(r))
     }
 
@@ -763,18 +775,18 @@ mod tests {
 
     #[test]
     fn traced_enqueue_reports_queue_transitions() {
-        use dibs_trace::{KindMask, TraceBuffer};
         let mut sw = tiny_switch(DibsPolicy::Random, 2);
         let mut rng = SimRng::new(1);
         let mut store = PacketStore::new();
-        let mut buf = TraceBuffer::new(KindMask::ALL);
+        let mut buf = Tracer::from_spec(&TraceSpec::parse("all").unwrap());
         for (i, t) in [(1, 100), (2, 200), (3, 300)] {
             // Port 0 holds two: packet 3 must detour (and be CE-marked doing so).
             let r = store.insert(pkt(i));
             sw.enqueue(&mut store, r, 0, &mut rng, t, &mut buf);
         }
         sw.dequeue(&store, 0, 400, &mut buf);
-        let kinds: Vec<TraceKind> = buf.events().iter().map(|e| e.kind).collect();
+        let events = buf.into_report(0).unwrap().events;
+        let kinds: Vec<TraceKind> = events.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
             vec![
@@ -786,33 +798,32 @@ mod tests {
             ]
         );
         // Enqueue events carry the depth after the push.
-        assert_eq!(buf.events()[0].qlen, 1);
-        assert_eq!(buf.events()[1].qlen, 2);
+        assert_eq!(events[0].qlen, 1);
+        assert_eq!(events[1].qlen, 2);
         // The detour event carries the incremented detour count.
-        assert_eq!(buf.events()[3].detours, 1);
-        assert_eq!(buf.events()[3].packet, 3);
-        assert_ne!(buf.events()[3].port, 0, "detour lands on another port");
+        assert_eq!(events[3].detours, 1);
+        assert_eq!(events[3].packet, 3);
+        assert_ne!(events[3].port, 0, "detour lands on another port");
         // Dequeue pops packet 1, leaving one resident on port 0.
-        assert_eq!(buf.events()[4].packet, 1);
-        assert_eq!(buf.events()[4].qlen, 1);
+        assert_eq!(events[4].packet, 1);
+        assert_eq!(events[4].qlen, 1);
     }
 
     #[test]
     fn untraced_and_traced_paths_agree() {
-        use dibs_trace::{KindMask, TraceBuffer};
         // The same seed must produce the same outcomes whether or not a
-        // sink observes the run (tracing consumes no randomness).
+        // tracer observes the run (tracing consumes no randomness).
         let run = |traced: bool| -> (u64, u64, u64) {
             let mut sw = tiny_switch(DibsPolicy::Random, 2);
             let mut rng = SimRng::new(7);
             let mut store = PacketStore::new();
-            let mut buf = TraceBuffer::new(KindMask::ALL);
+            let mut buf = Tracer::from_spec(&TraceSpec::parse("all").unwrap());
             for i in 0..12 {
                 let r = store.insert(pkt(i));
                 if traced {
                     sw.enqueue(&mut store, r, 0, &mut rng, i * 10, &mut buf);
                 } else {
-                    sw.enqueue(&mut store, r, 0, &mut rng, i * 10, &mut NullSink);
+                    sw.enqueue(&mut store, r, 0, &mut rng, i * 10, &mut Tracer::off());
                 }
             }
             let c = sw.counters();

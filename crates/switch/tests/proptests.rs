@@ -15,7 +15,7 @@ use dibs_switch::{
     BufferConfig, DibsPolicy, Discipline, DropReason, EnqueueOutcome, EnqueueResult, SwitchConfig,
     SwitchCore,
 };
-use dibs_trace::NullSink;
+use dibs_trace::Tracer;
 
 fn pkt(id: u64, flow: u32, priority: u64) -> Packet {
     let mut p = Packet::data(
@@ -42,7 +42,7 @@ fn offer(
     rng: &mut SimRng,
 ) -> (EnqueueResult, Option<Packet>) {
     let r = store.insert(p);
-    let result = sw.enqueue(store, r, port, rng, 0, &mut NullSink);
+    let result = sw.enqueue(store, r, port, rng, 0, &mut Tracer::off());
     if let EnqueueOutcome::Dropped(_) = result.outcome {
         store.release(r);
     }
@@ -52,7 +52,7 @@ fn offer(
 
 /// Dequeues from `port` untraced and takes the packet out of `store`.
 fn take(sw: &mut SwitchCore, store: &mut PacketStore, port: usize) -> Option<Packet> {
-    let r = sw.dequeue(store, port, 0, &mut NullSink)?;
+    let r = sw.dequeue(store, port, 0, &mut Tracer::off())?;
     Some(store.release(r))
 }
 

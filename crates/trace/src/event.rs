@@ -1,6 +1,7 @@
 //! The compact binary trace-event model: [`TraceKind`], [`TraceEvent`],
 //! and the [`KindMask`] per-kind filter.
 
+use dibs_net::packet::Packet;
 use std::fmt;
 
 /// What happened at one instant of simulated time.
@@ -28,8 +29,8 @@ pub enum TraceKind {
     EcnMark = 6,
     /// A switch detoured a packet to an alternate port (DIBS).
     Detour = 7,
-    /// A packet was dropped (full buffer, pFabric displacement, detour
-    /// budget exhausted, or host-NIC overflow).
+    /// A packet was dropped (full buffer, pFabric displacement, host-NIC
+    /// overflow, or an injected fault).
     Drop = 8,
     /// A packet's TTL reached zero at a switch.
     TtlExpire = 9,
@@ -89,6 +90,18 @@ impl TraceKind {
         })
     }
 
+    /// The kind a host's emission of `pkt` records: `Ack` for an ack,
+    /// `Retransmit` for a re-sent segment, `Send` otherwise.
+    pub fn sent(pkt: &Packet) -> TraceKind {
+        if !pkt.is_data() {
+            TraceKind::Ack
+        } else if pkt.retransmit {
+            TraceKind::Retransmit
+        } else {
+            TraceKind::Send
+        }
+    }
+
     /// The kind's bit inside a [`KindMask`].
     #[inline]
     pub fn bit(self) -> u16 {
@@ -111,15 +124,6 @@ impl KindMask {
     pub const NONE: KindMask = KindMask(0);
     /// Every kind.
     pub const ALL: KindMask = KindMask((1 << 11) - 1);
-
-    /// Builds a mask from an explicit kind list.
-    pub fn of(kinds: &[TraceKind]) -> KindMask {
-        let mut m = KindMask::NONE;
-        for &k in kinds {
-            m.insert(k);
-        }
-        m
-    }
 
     /// Adds one kind to the set.
     pub fn insert(&mut self, kind: TraceKind) {
@@ -237,6 +241,36 @@ mod tests {
         }
         assert_eq!(TraceKind::from_name("ecn"), Some(TraceKind::EcnMark));
         assert_eq!(TraceKind::from_name("bogus"), None);
+    }
+
+    #[test]
+    fn sent_classifies_host_emissions() {
+        use dibs_engine::time::SimTime;
+        use dibs_net::ids::{FlowId, HostId, PacketId};
+        let mut data = Packet::data(
+            PacketId(1),
+            FlowId(2),
+            HostId(0),
+            HostId(1),
+            0,
+            1460,
+            64,
+            SimTime::ZERO,
+        );
+        assert_eq!(TraceKind::sent(&data), TraceKind::Send);
+        data.retransmit = true;
+        assert_eq!(TraceKind::sent(&data), TraceKind::Retransmit);
+        let ack = Packet::ack(
+            PacketId(3),
+            FlowId(2),
+            HostId(1),
+            HostId(0),
+            1460,
+            false,
+            64,
+            SimTime::ZERO,
+        );
+        assert_eq!(TraceKind::sent(&ack), TraceKind::Ack);
     }
 
     #[test]

@@ -11,17 +11,20 @@
 //!
 //! # Design rules
 //!
-//! * **Zero overhead when disabled.** Instrumented code guards every
-//!   emission with [`TraceSink::wants`]; the disabled sink answers with a
-//!   constant `false`, so the default build pays one predictable branch
-//!   per potential event and never constructs one.
-//! * **Provably non-perturbing.** Sinks never draw from simulation RNGs,
-//!   never schedule events, and trace output is structurally excluded
-//!   from `RunDigest`. `tests/trace_nonperturbation.rs` pins this: golden
-//!   digests are byte-identical with tracing fully on and fully off.
-//! * **Bounded by default.** The [`FlightRecorder`] keeps only the last
-//!   N events in a fixed ring, so "always on" flight recording is cheap;
-//!   full-fidelity capture ([`TraceBuffer`]) is opt-in via `--trace all`.
+//! * **Zero overhead when disabled.** Instrumented code writes through
+//!   one method, [`Tracer::emit`], which tests the kind against the
+//!   tracer's mask before it builds an event; tracing off is the empty
+//!   mask, so the default build pays one predictable branch per
+//!   potential event and never constructs one.
+//! * **Provably non-perturbing.** The tracer never draws from simulation
+//!   RNGs, never schedules events, and trace output is structurally
+//!   excluded from `RunDigest`. `tests/trace_nonperturbation.rs` pins
+//!   this: golden digests are byte-identical with tracing fully on and
+//!   fully off.
+//! * **Bounded on request.** A flight recorder (`flight[:N]`) keeps only
+//!   the last N events in a fixed ring, so "always on" recording is
+//!   cheap; full-fidelity capture (`all`) is the same [`Tracer`] with an
+//!   unbounded capacity.
 //!
 //! # Spec grammar
 //!
@@ -41,7 +44,6 @@ pub mod event;
 pub mod export;
 pub mod query;
 pub mod recorder;
-pub mod sink;
 
 pub use event::{KindMask, TraceEvent, TraceKind};
 pub use export::{is_chrome_trace, is_queue_transition};
@@ -49,5 +51,4 @@ pub use query::{
     delivered_path, detour_loop_packets, flow_packets, packet_hops, packet_lifecycle,
     per_flow_hops, Hop, OccupancyTracker, PathNode,
 };
-pub use recorder::{FlightRecorder, TraceBuffer, TraceMode, TraceReport, TraceSpec, Tracer};
-pub use sink::{NullSink, TraceSink};
+pub use recorder::{Subject, TraceMode, TraceReport, TraceSpec, Tracer};

@@ -1,111 +1,17 @@
-//! Concrete sinks ([`FlightRecorder`], [`TraceBuffer`]), the runtime
-//! [`Tracer`] switch, spec parsing, and the final [`TraceReport`].
+//! The runtime sink [`Tracer`], spec parsing, and the final
+//! [`TraceReport`].
 
 use crate::event::{KindMask, TraceEvent, TraceKind};
-use crate::sink::TraceSink;
+use dibs_net::ids::FlowId;
+use dibs_net::packet::Packet;
 
 /// Default flight-recorder capacity (events) when the spec omits one.
 pub const DEFAULT_FLIGHT_CAP: usize = 4096;
 
-/// A fixed-capacity ring buffer that always holds the *last* N matching
-/// events — the black-box recorder. Recording is O(1) with no
-/// allocation after the first lap, so it is safe to leave on for long
-/// runs.
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    buf: Vec<TraceEvent>,
-    cap: usize,
-    /// Next slot to overwrite once the ring is full.
-    next: usize,
-    observed: u64,
-    mask: KindMask,
-}
+/// The capacity of full capture: the buffer never wraps.
+const UNBOUNDED: usize = usize::MAX;
 
-impl FlightRecorder {
-    /// Creates a recorder keeping the last `cap` events matching `mask`.
-    /// A zero capacity is clamped to 1.
-    pub fn new(cap: usize, mask: KindMask) -> FlightRecorder {
-        let cap = cap.max(1);
-        FlightRecorder {
-            buf: Vec::with_capacity(cap.min(DEFAULT_FLIGHT_CAP)),
-            cap,
-            next: 0,
-            observed: 0,
-            mask,
-        }
-    }
-
-    /// Total events offered to the recorder (kept or overwritten).
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-
-    /// The retained window, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        if self.buf.len() == self.cap {
-            out.extend_from_slice(&self.buf[self.next..]);
-            out.extend_from_slice(&self.buf[..self.next]);
-        } else {
-            out.extend_from_slice(&self.buf);
-        }
-        out
-    }
-}
-
-impl TraceSink for FlightRecorder {
-    #[inline]
-    fn wants(&self, kind: TraceKind) -> bool {
-        self.mask.wants(kind)
-    }
-
-    #[inline]
-    fn record(&mut self, ev: TraceEvent) {
-        self.observed += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.next] = ev;
-            self.next = (self.next + 1) % self.cap;
-        }
-    }
-}
-
-/// An unbounded capture buffer for full-fidelity tracing (`--trace all`).
-#[derive(Debug, Clone)]
-pub struct TraceBuffer {
-    events: Vec<TraceEvent>,
-    mask: KindMask,
-}
-
-impl TraceBuffer {
-    /// Creates a buffer capturing every event matching `mask`.
-    pub fn new(mask: KindMask) -> TraceBuffer {
-        TraceBuffer {
-            events: Vec::new(),
-            mask,
-        }
-    }
-
-    /// The captured events, in emission order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-}
-
-impl TraceSink for TraceBuffer {
-    #[inline]
-    fn wants(&self, kind: TraceKind) -> bool {
-        self.mask.wants(kind)
-    }
-
-    #[inline]
-    fn record(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
-    }
-}
-
-/// Which sink a [`TraceSpec`] selects.
+/// Which capture a [`TraceSpec`] selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// Tracing disabled.
@@ -130,7 +36,7 @@ impl TraceMode {
 /// A parsed `--trace` / `DIBS_TRACE` specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSpec {
-    /// Which sink to install.
+    /// Which capture to install.
     pub mode: TraceMode,
     /// Ring capacity, used when `mode` is [`TraceMode::Flight`].
     pub flight_cap: usize,
@@ -201,94 +107,137 @@ impl std::str::FromStr for TraceSpec {
     }
 }
 
-/// The runtime tracing switch a simulation carries.
+/// What a trace event is about.
+#[derive(Debug, Clone, Copy)]
+pub enum Subject<'a> {
+    /// One packet: the event carries its id, flow and detour count.
+    Packet(&'a Packet),
+    /// A whole flow (`Timeout`): the packet id and detour count are 0.
+    Flow(FlowId),
+}
+
+/// The trace sink a simulation carries, one concrete type for every
+/// [`TraceMode`].
 ///
-/// Stored as a concrete enum (not a generic parameter) so enabling a
-/// trace never changes the simulation's type; the `Off` arm makes
-/// [`TraceSink::wants`] a constant `false`, preserving the
-/// zero-overhead-when-disabled property.
+/// Off is the empty kind mask, full capture an unbounded buffer, and the
+/// flight recorder a ring of `cap` events that overwrites its oldest
+/// entry once full; the ring and full capture share one code path that
+/// differs only in capacity. Enabling a trace never changes the
+/// simulation's type, and [`Tracer::emit`] tests the mask before it
+/// builds anything, so a kind that is not captured costs one branch.
 #[derive(Debug, Clone)]
-pub enum Tracer {
-    /// Tracing disabled (the default).
-    Off,
-    /// Last-N flight recording.
-    Flight(FlightRecorder),
-    /// Full capture.
-    Full(TraceBuffer),
+pub struct Tracer {
+    /// Kinds to keep; empty when tracing is off.
+    mask: KindMask,
+    /// Events retained: the ring size, or [`UNBOUNDED`] for full capture.
+    cap: usize,
+    /// Retained events; once `cap` is reached, `events[next]` is the oldest.
+    events: Vec<TraceEvent>,
+    /// Next slot to overwrite once the ring is full.
+    next: usize,
+    /// Events offered (kept or overwritten).
+    observed: u64,
 }
 
 impl Tracer {
     /// The disabled tracer.
     pub fn off() -> Tracer {
-        Tracer::Off
+        Tracer::from_spec(&TraceSpec::off())
     }
 
     /// Builds the tracer a spec asks for.
     pub fn from_spec(spec: &TraceSpec) -> Tracer {
-        match spec.mode {
-            TraceMode::Off => Tracer::Off,
-            TraceMode::Flight => Tracer::Flight(FlightRecorder::new(spec.flight_cap, spec.kinds)),
-            TraceMode::Full => Tracer::Full(TraceBuffer::new(spec.kinds)),
+        let (mask, cap) = match spec.mode {
+            TraceMode::Off => (KindMask::NONE, 0),
+            // A ring is never unbounded, so it never reports as full capture.
+            TraceMode::Flight => (spec.kinds, spec.flight_cap.clamp(1, UNBOUNDED - 1)),
+            TraceMode::Full => (spec.kinds, UNBOUNDED),
+        };
+        Tracer {
+            mask,
+            cap,
+            events: Vec::with_capacity(cap.min(DEFAULT_FLIGHT_CAP)),
+            next: 0,
+            observed: 0,
         }
     }
 
     /// Whether any events can be recorded.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
-        !matches!(self, Tracer::Off)
+        !self.mask.is_empty()
+    }
+
+    /// Records a `kind` event about `subject` at simulated time `t_ns`,
+    /// topology node `node` and output `port` (0 for host events);
+    /// `qlen` is the port's depth after a queue transition, the number
+    /// of packets re-sent for `Timeout`, and 0 otherwise. Nothing is
+    /// built unless `kind` is captured.
+    #[inline]
+    pub fn emit(
+        &mut self,
+        kind: TraceKind,
+        t_ns: u64,
+        subject: Subject<'_>,
+        node: u32,
+        port: usize,
+        qlen: usize,
+    ) {
+        if !self.mask.wants(kind) {
+            return;
+        }
+        let (packet, flow, detours) = match subject {
+            Subject::Packet(p) => (p.id.0, p.flow.0, p.detours),
+            Subject::Flow(f) => (0, f.0, 0),
+        };
+        self.push(TraceEvent {
+            t_ns,
+            packet,
+            flow,
+            node,
+            port: u16::try_from(port).unwrap_or(u16::MAX),
+            qlen: u16::try_from(qlen).unwrap_or(u16::MAX),
+            detours,
+            kind,
+        });
+    }
+
+    fn push(&mut self, ev: TraceEvent) {
+        self.observed += 1;
+        if self.events.len() < self.cap {
+            self.events.push(ev);
+        } else {
+            self.events[self.next] = ev;
+            self.next = (self.next + 1) % self.cap;
+        }
     }
 
     /// Consumes the tracer into a report; `None` when tracing was off.
     /// `queue_high_watermark` is the engine's peak pending-event count,
     /// carried alongside the events for the text dump.
     pub fn into_report(self, queue_high_watermark: u64) -> Option<TraceReport> {
-        match self {
-            Tracer::Off => None,
-            Tracer::Flight(rec) => {
-                let observed = rec.observed();
-                let events = rec.events();
-                let dropped =
-                    observed.saturating_sub(u64::try_from(events.len()).unwrap_or(u64::MAX));
-                Some(TraceReport {
-                    mode: TraceMode::Flight,
-                    kinds: rec.mask,
-                    events,
-                    observed,
-                    dropped,
-                    queue_high_watermark,
-                })
-            }
-            Tracer::Full(buf) => {
-                let observed = u64::try_from(buf.events.len()).unwrap_or(u64::MAX);
-                Some(TraceReport {
-                    mode: TraceMode::Full,
-                    kinds: buf.mask,
-                    events: buf.events,
-                    observed,
-                    dropped: 0,
-                    queue_high_watermark,
-                })
-            }
+        if !self.is_enabled() {
+            return None;
         }
-    }
-}
-
-impl TraceSink for Tracer {
-    #[inline]
-    fn wants(&self, kind: TraceKind) -> bool {
-        match self {
-            Tracer::Off => false,
-            Tracer::Flight(r) => r.wants(kind),
-            Tracer::Full(b) => b.wants(kind),
-        }
-    }
-
-    #[inline]
-    fn record(&mut self, ev: TraceEvent) {
-        match self {
-            Tracer::Off => {}
-            Tracer::Flight(r) => r.record(ev),
-            Tracer::Full(b) => b.record(ev),
-        }
+        let mode = if self.cap == UNBOUNDED {
+            TraceMode::Full
+        } else {
+            TraceMode::Flight
+        };
+        let mut events = self.events;
+        // Oldest first: a wrapped ring's oldest event sits at `next`.
+        events.rotate_left(self.next);
+        let dropped = self
+            .observed
+            .saturating_sub(u64::try_from(events.len()).unwrap_or(u64::MAX));
+        Some(TraceReport {
+            mode,
+            kinds: self.mask,
+            events,
+            observed: self.observed,
+            dropped,
+            queue_high_watermark,
+        })
     }
 }
 
@@ -316,38 +265,36 @@ pub struct TraceReport {
 mod tests {
     use super::*;
 
-    fn ev(t: u64, kind: TraceKind) -> TraceEvent {
-        TraceEvent {
-            t_ns: t,
-            packet: t,
-            flow: 0,
-            node: 0,
-            port: 0,
-            qlen: 0,
-            detours: 0,
-            kind,
+    /// Offers one flow-level event per `t` in `ts` (as `t_ns` and flow).
+    fn offer(tracer: &mut Tracer, kind: TraceKind, ts: std::ops::Range<u64>) {
+        for t in ts {
+            let flow = FlowId(u32::try_from(t).unwrap());
+            tracer.emit(kind, t, Subject::Flow(flow), 0, 0, 0);
         }
+    }
+
+    fn kept(tracer: Tracer) -> Vec<u64> {
+        let rep = tracer.into_report(0).unwrap();
+        rep.events.iter().map(|e| e.t_ns).collect()
+    }
+
+    fn spec(s: &str) -> Tracer {
+        Tracer::from_spec(&TraceSpec::parse(s).unwrap())
     }
 
     #[test]
     fn flight_ring_keeps_last_n() {
-        let mut r = FlightRecorder::new(3, KindMask::ALL);
-        for t in 0..10 {
-            r.record(ev(t, TraceKind::Enqueue));
-        }
-        assert_eq!(r.observed(), 10);
-        let kept: Vec<u64> = r.events().iter().map(|e| e.t_ns).collect();
-        assert_eq!(kept, vec![7, 8, 9]);
+        let mut t = spec("flight:3");
+        offer(&mut t, TraceKind::Enqueue, 0..10);
+        assert_eq!(t.observed, 10);
+        assert_eq!(kept(t), vec![7, 8, 9]);
     }
 
     #[test]
     fn flight_ring_under_capacity_keeps_all_in_order() {
-        let mut r = FlightRecorder::new(8, KindMask::ALL);
-        for t in 0..3 {
-            r.record(ev(t, TraceKind::Send));
-        }
-        let kept: Vec<u64> = r.events().iter().map(|e| e.t_ns).collect();
-        assert_eq!(kept, vec![0, 1, 2]);
+        let mut t = spec("flight:8");
+        offer(&mut t, TraceKind::Send, 0..3);
+        assert_eq!(kept(t), vec![0, 1, 2]);
     }
 
     #[test]
@@ -371,23 +318,27 @@ mod tests {
 
     #[test]
     fn tracer_off_wants_nothing_and_reports_none() {
-        let t = Tracer::off();
+        let mut t = Tracer::off();
         assert!(!t.is_enabled());
         for k in TraceKind::ALL {
-            assert!(!t.wants(k));
+            assert!(!t.mask.wants(k));
+            offer(&mut t, k, 0..1);
         }
+        assert_eq!(t.observed, 0);
         assert!(t.into_report(0).is_none());
     }
 
     #[test]
     fn tracer_filters_by_kind() {
-        let spec = TraceSpec::parse("detour").unwrap();
-        let mut t = Tracer::from_spec(&spec);
-        assert!(t.wants(TraceKind::Detour));
-        assert!(!t.wants(TraceKind::Enqueue));
-        t.record(ev(5, TraceKind::Detour));
+        let mut t = spec("detour");
+        assert!(t.mask.wants(TraceKind::Detour));
+        assert!(!t.mask.wants(TraceKind::Enqueue));
+        offer(&mut t, TraceKind::Enqueue, 4..5);
+        offer(&mut t, TraceKind::Detour, 5..6);
         let rep = t.into_report(42).unwrap();
+        assert_eq!(rep.mode, TraceMode::Full);
         assert_eq!(rep.events.len(), 1);
+        assert_eq!(rep.events[0].t_ns, 5);
         assert_eq!(rep.observed, 1);
         assert_eq!(rep.dropped, 0);
         assert_eq!(rep.queue_high_watermark, 42);
@@ -395,15 +346,54 @@ mod tests {
 
     #[test]
     fn flight_report_counts_overwrites() {
-        let spec = TraceSpec::parse("flight:2").unwrap();
-        let mut t = Tracer::from_spec(&spec);
-        for i in 0..5 {
-            t.record(ev(i, TraceKind::Drop));
-        }
+        let mut t = spec("flight:2");
+        offer(&mut t, TraceKind::Drop, 0..5);
         let rep = t.into_report(0).unwrap();
         assert_eq!(rep.mode, TraceMode::Flight);
         assert_eq!(rep.events.len(), 2);
         assert_eq!(rep.observed, 5);
         assert_eq!(rep.dropped, 3);
+    }
+
+    #[test]
+    fn emit_fills_packet_and_flow_subjects() {
+        use dibs_engine::time::SimTime;
+        use dibs_net::ids::{HostId, PacketId};
+        let mut p = Packet::data(
+            PacketId(7),
+            FlowId(3),
+            HostId(0),
+            HostId(1),
+            0,
+            1460,
+            64,
+            SimTime::ZERO,
+        );
+        p.detours = 2;
+        let mut t = spec("all");
+        t.emit(TraceKind::Detour, 10, Subject::Packet(&p), 20, 2, 9);
+        t.emit(
+            TraceKind::Timeout,
+            30,
+            Subject::Flow(FlowId(3)),
+            5,
+            0,
+            70_000,
+        );
+        let rep = t.into_report(0).unwrap();
+        let (pkt, flow) = (rep.events[0], rep.events[1]);
+        assert_eq!(
+            (
+                pkt.packet,
+                pkt.flow,
+                pkt.node,
+                pkt.port,
+                pkt.qlen,
+                pkt.detours
+            ),
+            (7, 3, 20, 2, 9, 2)
+        );
+        assert_eq!((flow.packet, flow.flow, flow.detours), (0, 3, 0));
+        assert_eq!(flow.qlen, u16::MAX, "counts saturate at u16::MAX");
     }
 }

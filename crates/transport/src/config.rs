@@ -12,15 +12,16 @@ pub enum FastRetransmit {
     DupAckThreshold(u32),
 }
 
+/// DCTCP's EWMA gain `g` for the marked fraction `alpha` (the DCTCP
+/// paper's recommended 1/16).
+pub const DCTCP_GAIN: f64 = 1.0 / 16.0;
+
 /// Congestion-control algorithm.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcAlgorithm {
-    /// DCTCP: maintain the EWMA fraction `alpha` of marked bytes and cut
-    /// `cwnd` by `alpha/2` once per window.
-    Dctcp {
-        /// EWMA gain for alpha (the DCTCP paper uses 1/16).
-        g: f64,
-    },
+    /// DCTCP: maintain the EWMA fraction `alpha` of marked bytes (gain
+    /// [`DCTCP_GAIN`]) and cut `cwnd` by `alpha/2` once per window.
+    Dctcp,
     /// Fixed window: no reaction to marks or losses. Used by the pFabric
     /// host stack, which starts at line rate and relies on priority
     /// scheduling plus a small fixed RTO.
@@ -67,7 +68,7 @@ impl TcpConfig {
             max_rto: SimDuration::from_secs(2),
             fixed_rto: None,
             fast_retransmit: FastRetransmit::DupAckThreshold(3),
-            cc: CcAlgorithm::Dctcp { g: 1.0 / 16.0 },
+            cc: CcAlgorithm::Dctcp,
             priority_stamping: false,
             initial_ttl: 255,
             ack_every: 1,
@@ -116,7 +117,7 @@ mod tests {
         assert_eq!(d.mss, 1460);
         assert_eq!(d.init_cwnd, 10);
         assert_eq!(d.min_rto, SimDuration::from_millis(10));
-        assert!(matches!(d.cc, CcAlgorithm::Dctcp { .. }));
+        assert_eq!(d.cc, CcAlgorithm::Dctcp);
 
         let dibs = TcpConfig::dctcp_dibs();
         assert_eq!(dibs.fast_retransmit, FastRetransmit::Disabled);

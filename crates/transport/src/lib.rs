@@ -20,7 +20,7 @@ pub mod sender;
 
 pub use config::{CcAlgorithm, FastRetransmit, TcpConfig};
 pub use receiver::{ReceiverCounters, TcpReceiver};
-pub use sender::{trace_packet_out, SenderCounters, TcpSender};
+pub use sender::{SenderCounters, TcpSender};
 
 use dibs_net::ids::PacketId;
 

@@ -10,38 +10,12 @@
 //! the simulator core owns actual event scheduling and calls back into
 //! [`TcpSender::on_ack`] / [`TcpSender::on_rto`].
 
-use crate::config::{CcAlgorithm, FastRetransmit, TcpConfig};
+use crate::config::{CcAlgorithm, FastRetransmit, TcpConfig, DCTCP_GAIN};
 use crate::IdGen;
 use dibs_engine::time::{SimDuration, SimTime};
 use dibs_net::ids::{FlowId, HostId};
 use dibs_net::packet::Packet;
-use dibs_trace::{TraceEvent, TraceKind, TraceSink};
-
-/// Reports one host-emitted packet to `sink`, classified as `Send`,
-/// `Retransmit`, or `Ack` from the packet's own flags. `node` is the
-/// topology node id of the emitting host (the transport layer does not
-/// know the topology, so the caller supplies it).
-pub fn trace_packet_out<S: TraceSink>(pkt: &Packet, t_ns: u64, node: u32, sink: &mut S) {
-    let kind = if !pkt.is_data() {
-        TraceKind::Ack
-    } else if pkt.retransmit {
-        TraceKind::Retransmit
-    } else {
-        TraceKind::Send
-    };
-    if sink.wants(kind) {
-        sink.record(TraceEvent {
-            t_ns,
-            packet: pkt.id.0,
-            flow: pkt.flow.0,
-            node,
-            port: 0,
-            qlen: 0,
-            detours: pkt.detours,
-            kind,
-        });
-    }
-}
+use dibs_trace::{Subject, TraceKind, Tracer};
 
 /// Sender-side counters (per flow).
 #[derive(Debug, Clone, Copy, Default)]
@@ -314,7 +288,7 @@ impl TcpSender {
         if ece && !self.cwr {
             self.cwr = true;
             let factor = match self.cfg.cc {
-                CcAlgorithm::Dctcp { .. } => 1.0 - self.alpha / 2.0,
+                CcAlgorithm::Dctcp => 1.0 - self.alpha / 2.0,
                 CcAlgorithm::Fixed => 1.0,
             };
             self.cwnd = (self.cwnd * factor).max(self.cfg.min_cwnd());
@@ -349,16 +323,16 @@ impl TcpSender {
     /// generation returned by [`TcpSender::timer`] when the event was
     /// scheduled; stale firings are ignored.
     ///
-    /// A genuine firing is reported to `sink` as one flow-level `Timeout`
+    /// A genuine firing is reported to `tracer` as one flow-level `Timeout`
     /// event; `node` is the sending host's topology node id and `qlen`
     /// carries the retransmission count.
-    pub fn on_rto<S: TraceSink>(
+    pub fn on_rto(
         &mut self,
         gen: u64,
         now: SimTime,
         ids: &mut IdGen,
         node: u32,
-        sink: &mut S,
+        tracer: &mut Tracer,
     ) -> Vec<Packet> {
         if gen != self.timer_gen || self.timer_deadline.is_none() || self.completed.is_some() {
             return Vec::new();
@@ -399,18 +373,14 @@ impl TcpSender {
             self.pump_retransmit(now, ids)
         };
         self.arm_timer(now);
-        if sink.wants(TraceKind::Timeout) {
-            sink.record(TraceEvent {
-                t_ns: now.as_nanos(),
-                packet: 0,
-                flow: self.flow.0,
-                node,
-                port: 0,
-                qlen: u16::try_from(pkts.len()).unwrap_or(u16::MAX),
-                detours: 0,
-                kind: TraceKind::Timeout,
-            });
-        }
+        tracer.emit(
+            TraceKind::Timeout,
+            now.as_nanos(),
+            Subject::Flow(self.flow),
+            node,
+            0,
+            pkts.len(),
+        );
         pkts
     }
 
@@ -486,11 +456,9 @@ impl TcpSender {
     }
 
     fn end_marking_window(&mut self) {
-        if let CcAlgorithm::Dctcp { g } = self.cfg.cc {
-            if self.bytes_acked_window > 0 {
-                let f = self.bytes_marked_window as f64 / self.bytes_acked_window as f64;
-                self.alpha = (1.0 - g) * self.alpha + g * f;
-            }
+        if self.cfg.cc == CcAlgorithm::Dctcp && self.bytes_acked_window > 0 {
+            let f = self.bytes_marked_window as f64 / self.bytes_acked_window as f64;
+            self.alpha = (1.0 - DCTCP_GAIN) * self.alpha + DCTCP_GAIN * f;
         }
         self.bytes_acked_window = 0;
         self.bytes_marked_window = 0;
@@ -555,7 +523,7 @@ impl TcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dibs_trace::NullSink;
+    use dibs_trace::TraceSpec;
 
     fn sender(size: u64) -> (TcpSender, IdGen) {
         (
@@ -677,7 +645,7 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         let (deadline, gen) = s.timer().unwrap();
         assert_eq!(deadline, SimTime::ZERO + SimDuration::from_millis(10));
-        let pkts = s.on_rto(gen, deadline, &mut ids, 0, &mut NullSink);
+        let pkts = s.on_rto(gen, deadline, &mut ids, 0, &mut Tracer::off());
         assert_eq!(s.counters().timeouts, 1);
         assert_eq!(s.cwnd(), 1460.0);
         assert_eq!(pkts.len(), 1, "one segment at cwnd = 1 MSS");
@@ -695,7 +663,13 @@ mod tests {
         let (_, gen) = s.timer().unwrap();
         // An ack re-arms the timer, bumping the generation.
         s.on_ack(1460, false, None, SimTime::from_micros(100), &mut ids);
-        let pkts = s.on_rto(gen, SimTime::from_millis(10), &mut ids, 0, &mut NullSink);
+        let pkts = s.on_rto(
+            gen,
+            SimTime::from_millis(10),
+            &mut ids,
+            0,
+            &mut Tracer::off(),
+        );
         assert!(pkts.is_empty());
         assert_eq!(s.counters().timeouts, 0);
     }
@@ -769,7 +743,7 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         let (d1, g1) = s.timer().unwrap();
         assert_eq!(d1, SimTime::ZERO + SimDuration::from_micros(350));
-        s.on_rto(g1, d1, &mut ids, 0, &mut NullSink);
+        s.on_rto(g1, d1, &mut ids, 0, &mut Tracer::off());
         let (d2, _) = s.timer().unwrap();
         // No backoff: still exactly 350 us later.
         assert_eq!(d2, d1 + SimDuration::from_micros(350));
@@ -794,7 +768,7 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         let (deadline, gen) = s.timer().unwrap();
         // Spurious timeout at 10 ms; no samples yet.
-        s.on_rto(gen, deadline, &mut ids, 0, &mut NullSink);
+        s.on_rto(gen, deadline, &mut ids, 0, &mut Tracer::off());
         // The original ack arrives late, echoing the original send time
         // (t=0): the sample must be taken despite the retransmission
         // (Karn's rule would have discarded it).
@@ -810,7 +784,7 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         let cwnd_before = s.cwnd();
         let (deadline, gen) = s.timer().unwrap();
-        s.on_rto(gen, deadline, &mut ids, 0, &mut NullSink);
+        s.on_rto(gen, deadline, &mut ids, 0, &mut Tracer::off());
         assert_eq!(s.cwnd(), 1460.0, "window collapsed by the timeout");
         // Ack echoing a pre-timeout send time proves the timeout spurious.
         s.on_ack(
@@ -833,7 +807,7 @@ mod tests {
         let (mut s, mut ids) = sender(10_000_000);
         s.start(SimTime::ZERO, &mut ids);
         let (deadline, gen) = s.timer().unwrap();
-        s.on_rto(gen, deadline, &mut ids, 0, &mut NullSink);
+        s.on_rto(gen, deadline, &mut ids, 0, &mut Tracer::off());
         // Ack echoing the *retransmission's* send time (>= timeout instant):
         // the loss was real, so the collapse stands.
         s.on_ack(
@@ -859,12 +833,12 @@ mod tests {
         let mut ids = IdGen::new();
         s.start(SimTime::ZERO, &mut ids);
         let (d, g) = s.timer().unwrap();
-        let pkts = s.on_rto(g, d, &mut ids, 0, &mut NullSink);
+        let pkts = s.on_rto(g, d, &mut ids, 0, &mut Tracer::off());
         assert_eq!(pkts.len(), 1, "probe mode sends exactly one segment");
         assert_eq!(pkts[0].seq, 0);
         // Repeated timeouts keep probing without window inflation.
         let (d2, g2) = s.timer().unwrap();
-        let pkts2 = s.on_rto(g2, d2, &mut ids, 0, &mut NullSink);
+        let pkts2 = s.on_rto(g2, d2, &mut ids, 0, &mut Tracer::off());
         assert_eq!(pkts2.len(), 1);
     }
 
@@ -876,58 +850,23 @@ mod tests {
     }
 
     #[test]
-    fn trace_packet_out_classifies_kinds() {
-        use dibs_net::ids::PacketId;
-        use dibs_trace::{KindMask, TraceBuffer};
-        let mut buf = TraceBuffer::new(KindMask::ALL);
-        let mut data = Packet::data(
-            PacketId(1),
-            FlowId(2),
-            HostId(0),
-            HostId(1),
-            0,
-            1460,
-            64,
-            SimTime::ZERO,
-        );
-        trace_packet_out(&data, 10, 100, &mut buf);
-        data.retransmit = true;
-        trace_packet_out(&data, 20, 100, &mut buf);
-        let ack = Packet::ack(
-            PacketId(3),
-            FlowId(2),
-            HostId(1),
-            HostId(0),
-            1460,
-            false,
-            64,
-            SimTime::ZERO,
-        );
-        trace_packet_out(&ack, 30, 101, &mut buf);
-        let kinds: Vec<TraceKind> = buf.events().iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![TraceKind::Send, TraceKind::Retransmit, TraceKind::Ack]
-        );
-        assert_eq!(buf.events()[0].node, 100);
-    }
-
-    #[test]
     fn on_rto_traces_only_genuine_firings() {
-        use dibs_trace::{KindMask, TraceBuffer};
         let (mut s, mut ids) = sender(1_000_000);
         s.start(SimTime::ZERO, &mut ids);
         let (deadline, gen) = s.timer().unwrap();
-        let mut buf = TraceBuffer::new(KindMask::ALL);
+        let all = TraceSpec::parse("all").unwrap();
         // A stale generation is ignored and must not be traced.
-        let stale = s.on_rto(gen + 99, deadline, &mut ids, 5, &mut buf);
+        let mut stale_tracer = Tracer::from_spec(&all);
+        let stale = s.on_rto(gen + 99, deadline, &mut ids, 5, &mut stale_tracer);
         assert!(stale.is_empty());
-        assert!(buf.events().is_empty());
+        assert!(stale_tracer.into_report(0).unwrap().events.is_empty());
         // The genuine firing produces exactly one flow-level event.
-        let pkts = s.on_rto(gen, deadline, &mut ids, 5, &mut buf);
+        let mut tracer = Tracer::from_spec(&all);
+        let pkts = s.on_rto(gen, deadline, &mut ids, 5, &mut tracer);
         assert!(!pkts.is_empty());
-        assert_eq!(buf.events().len(), 1);
-        let ev = buf.events()[0];
+        let events = tracer.into_report(0).unwrap().events;
+        assert_eq!(events.len(), 1);
+        let ev = events[0];
         assert_eq!(ev.kind, TraceKind::Timeout);
         assert_eq!(ev.flow, 1);
         assert_eq!(ev.node, 5);

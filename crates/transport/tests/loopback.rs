@@ -8,7 +8,7 @@ use dibs_engine::rng::SimRng;
 use dibs_engine::time::{SimDuration, SimTime};
 use dibs_net::ids::{FlowId, HostId};
 use dibs_net::packet::Packet;
-use dibs_trace::NullSink;
+use dibs_trace::Tracer;
 use dibs_transport::{IdGen, TcpConfig, TcpReceiver, TcpSender};
 use std::collections::BinaryHeap;
 
@@ -131,9 +131,9 @@ impl Pipe {
             self.now = t;
             match item {
                 WireItem::Timer(gen) => {
-                    let out = self
-                        .sender
-                        .on_rto(gen, self.now, &mut self.ids, 0, &mut NullSink);
+                    let out =
+                        self.sender
+                            .on_rto(gen, self.now, &mut self.ids, 0, &mut Tracer::off());
                     self.transmit(out);
                 }
                 WireItem::Pkt(wp) if wp.is_ack => {

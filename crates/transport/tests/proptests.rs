@@ -5,7 +5,7 @@ use dibs_engine::testkit::{cases_n, vec_of};
 use dibs_engine::time::{SimDuration, SimTime};
 use dibs_net::ids::{FlowId, HostId, PacketId};
 use dibs_net::packet::Packet;
-use dibs_trace::NullSink;
+use dibs_trace::Tracer;
 use dibs_transport::{IdGen, TcpConfig, TcpReceiver, TcpSender};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -108,7 +108,7 @@ impl Channel {
                     Vec::new()
                 }
                 Item::Ack { seq, ece } => sender.on_ack(seq, ece, None, now, &mut ids),
-                Item::Timer(gen) => sender.on_rto(gen, now, &mut ids, 0, &mut NullSink),
+                Item::Timer(gen) => sender.on_rto(gen, now, &mut ids, 0, &mut Tracer::off()),
             };
             push_pkts(out, &mut heap, now, &mut tick, &mut data_idx);
             if let Some((deadline, gen)) = sender.timer() {

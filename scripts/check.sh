@@ -47,7 +47,7 @@ if [[ $quick -eq 0 ]]; then
         echo "    every perfbench simulation correct, none failed"
         echo "==> simtest --smoke (64-seed fault-injection soak)"
         cargo run -q -p dibs-harness --release --offline --bin simtest -- --smoke
-        echo "==> trace smoke (traced incast: valid Chrome JSON, digest unchanged)"
+        echo "==> trace smoke (traced incast: valid Chrome JSON, digest unchanged under all and flight:64)"
         tmp=$(mktemp -d)
         trap 'rm -rf "$tmp"' EXIT
         cargo run -q -p dibs-cli --release --offline --bin dibs-sim -- \
@@ -69,7 +69,15 @@ if [[ $quick -eq 0 ]]; then
         if command -v python3 >/dev/null; then
             python3 -m json.tool "$chrome" >/dev/null
         fi
-        echo "    digest identical traced vs untraced; Chrome JSON valid"
+        # The flight ring is the same tracer with a bounded capacity: it
+        # must leave the digest alone too.
+        cargo run -q -p dibs-cli --release --offline --bin dibs-sim -- \
+            --digest --trace flight:64 scenarios/incast.json | grep '^digest' >"$tmp/flight"
+        if ! diff -u "$tmp/untraced" "$tmp/flight"; then
+            echo "FAIL: the flight recorder perturbed the run digest" >&2
+            exit 1
+        fi
+        echo "    digest identical traced (all, flight:64) vs untraced; Chrome JSON valid"
         # Both exit non-zero when the trace yields no detoured delivery.
         echo "==> Fig 1 from the trace (fig01_detour_path, detour_trace example)"
         DIBS_RESULTS_DIR="$tmp" cargo run -q -p dibs-bench --release --offline \

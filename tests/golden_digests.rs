@@ -11,7 +11,7 @@
 //! reason a refactor can claim "no behavior change" with a straight face.
 
 use dibs::presets::{single_incast_sim, testbed_incast_sim};
-use dibs::{FaultSpec, PfcConfig, RunDescriptor, RunDigest, SimConfig};
+use dibs::{FaultSpec, PfcConfig, RunDescriptor, RunDigest, SimConfig, TraceSpec, Tracer};
 use dibs_engine::rng::hash_bytes;
 use dibs_engine::time::SimDuration;
 use dibs_net::builders::FatTreeParams;
@@ -188,6 +188,43 @@ fn golden_sampled_incast() {
     );
 }
 
+/// The trace itself: `RunDigest` leaves it out, so this pins
+/// `TraceReport::fingerprint` (a hash of the text dump) of the golden
+/// buffer-sweep point under full capture and under a 256-event flight
+/// ring, plus the ring's observed and overwritten counts.
+#[test]
+fn golden_trace_dump() {
+    let traced = |spec: &str| {
+        let d = RunDescriptor::new("golden_buffer_sweep", "dibs", 25, 0);
+        let mut cfg = SimConfig::dctcp_dibs().with_seed(d.seed(MASTER_SEED));
+        cfg.switch.buffer = BufferConfig::StaticPerPort { packets: 25 };
+        cfg.switch.ecn_threshold = Some(20);
+        let mut sim = single_incast_sim(k4(), cfg, 8, 20_000);
+        sim.set_tracer(Tracer::from_spec(
+            &spec.parse::<TraceSpec>().expect("valid trace spec"),
+        ));
+        sim.run().trace.expect("tracer was installed")
+    };
+    let full = traced("all");
+    let flight = traced("flight:256:enqueue,detour,drop");
+    let got = (
+        full.fingerprint(),
+        flight.fingerprint(),
+        flight.observed,
+        flight.dropped,
+    );
+    assert_eq!(
+        got,
+        (
+            GOLDEN_TRACE_FULL,
+            GOLDEN_TRACE_FLIGHT,
+            GOLDEN_TRACE_FLIGHT_OBSERVED,
+            GOLDEN_TRACE_FLIGHT_DROPPED
+        ),
+        "trace_dump: trace content changed (full fingerprint, flight fingerprint, observed, dropped)"
+    );
+}
+
 // The pinned fingerprints. These change ONLY when simulation semantics
 // change; the parallel executor, jobs count, and merge order must never
 // move them.
@@ -210,3 +247,10 @@ const GOLDEN_RANDOM_SOAK: u64 = 0x6ba2_5988_d5f8_fa69;
 // per-port byte counters.
 const GOLDEN_PFC: u64 = 0x4e1c_2b0c_ad12_ae9a;
 const GOLDEN_SAMPLES: u64 = 0x2fd4_182c_c0a1_7682;
+
+// Trace-content pins (`golden_trace_dump`): full capture and a 256-event
+// flight ring of the buffer-sweep point.
+const GOLDEN_TRACE_FULL: u64 = 0x5984_e72e_a1b8_a061;
+const GOLDEN_TRACE_FLIGHT: u64 = 0xa30c_12ec_36a7_4c56;
+const GOLDEN_TRACE_FLIGHT_OBSERVED: u64 = 984;
+const GOLDEN_TRACE_FLIGHT_DROPPED: u64 = 728;
