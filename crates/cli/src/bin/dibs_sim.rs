@@ -6,6 +6,8 @@
 //! Options:
 //!   --json          emit a JSON report instead of text
 //!   --compare       run each scenario under dctcp, dctcp_dibs, and pfabric
+//!                   (a scenario that sets a `dibs_policy` other than
+//!                   `disabled` fails on the pfabric run)
 //!   --seed <N>      override the scenarios' seed
 //!   --jobs <N>      worker threads for independent runs (default: all cores)
 //!   --trace <SPEC>  capture an event trace; SPEC is `off`, `all`, a kind

@@ -366,9 +366,11 @@ pub struct Overrides {
     /// ECN marking threshold in packets (`0` disables marking).
     pub ecn_threshold: Option<usize>,
     /// Detour policy: `disabled`, `random`, `load_aware`, `flow_based`, or
-    /// `probabilistic:<onset>` (e.g. `probabilistic:0.85`).
+    /// `probabilistic:<onset>` (e.g. `probabilistic:0.85`). Under
+    /// `pfabric` only `disabled` is accepted: a full pFabric queue
+    /// displaces by priority before any detour policy could act.
     pub dibs_policy: Option<String>,
-    /// Minimum RTO in microseconds.
+    /// Minimum RTO in microseconds; under `pfabric`, the fixed RTO.
     pub min_rto_us: Option<u64>,
     /// Initial TTL.
     pub ttl: Option<u8>,
@@ -544,9 +546,9 @@ impl Scenario {
     /// Resolves scheme + overrides into a `SimConfig`, rejecting every
     /// time field that would overflow the nanosecond clock, every traffic
     /// rate whose mean gap is not positive and finite, a second
-    /// `background` or `query` workload, and workloads expected to generate
+    /// `background` or `query` workload, workloads expected to generate
     /// more than 2^20 flows in total (checked from the parameters, before
-    /// anything is generated).
+    /// anything is generated), and a detour policy under `pfabric`.
     pub fn sim_config(&self) -> Result<dibs::SimConfig, ScenarioError> {
         let too_long = |field: &str, ms: u64| {
             if ms > MAX_MS {
@@ -655,6 +657,12 @@ impl Scenario {
         }
         if let Some(ref p) = o.dibs_policy {
             cfg.switch.dibs = parse_policy(p)?;
+            if self.scheme == Scheme::Pfabric && cfg.switch.dibs != DibsPolicy::Disabled {
+                return Err(ScenarioError(format!(
+                    "dibs_policy `{p}` does not run under scheme pfabric: a full pFabric queue \
+                     displaces by priority before any detour policy acts; use `disabled`"
+                )));
+            }
         }
         if let Some(us) = o.min_rto_us {
             cfg.tcp.min_rto = SimDuration::from_micros(us);
@@ -972,6 +980,26 @@ mod tests {
         assert_eq!(cfg.tcp.ack_every, 2);
         assert_eq!(cfg.ecmp, dibs::EcmpMode::PacketLevel);
         assert!(cfg.pfc.is_some());
+    }
+
+    #[test]
+    fn pfabric_rejects_detour_policies_and_fixes_its_rto_at_min_rto() {
+        let pfabric = |overrides: &str| {
+            Scenario::from_json(&format!(
+                r#"{{ "topology": {{ "type": "single_switch", "hosts": 4 }},
+                     "scheme": "pfabric", "overrides": {overrides}, "workloads": [] }}"#
+            ))
+            .unwrap()
+            .sim_config()
+        };
+        for policy in ["random", "load_aware", "flow_based", "probabilistic:0.5"] {
+            let err = pfabric(&format!(r#"{{ "dibs_policy": "{policy}" }}"#)).unwrap_err();
+            assert!(err.0.contains("dibs_policy"), "{policy}: {err}");
+        }
+        let cfg = pfabric(r#"{ "dibs_policy": "disabled", "min_rto_us": 500 }"#).unwrap();
+        assert_eq!(cfg.switch.dibs, DibsPolicy::Disabled);
+        assert_eq!(cfg.tcp.cc, dibs_transport::CcAlgorithm::Pfabric);
+        assert_eq!(cfg.tcp.min_rto, SimDuration::from_micros(500));
     }
 
     #[test]

@@ -76,6 +76,23 @@ fn unbuildable_scenarios_exit_1_with_a_message() {
     assert_fails(&[&infinite_qps], 1, "qps must be positive and finite");
     let truncated = scenario_file("dibs_sim_cli_truncated.json", "{");
     assert_fails(&[&truncated], 1, "dibs_sim_cli_truncated.json");
+    // pFabric switches displace by priority before any detour policy
+    // could act, so a policy there is refused rather than ignored.
+    let policy = |scheme: &str| {
+        format!(
+            r#"{{ "topology": {{ "type": "single_switch", "hosts": 3 }}, "scheme": "{scheme}",
+                 "overrides": {{ "dibs_policy": "random" }}, "workloads": [] }}"#
+        )
+    };
+    let pfabric_policy = scenario_file("dibs_sim_cli_pfabric_policy.json", &policy("pfabric"));
+    assert_fails(&[&pfabric_policy], 1, "dibs_policy `random`");
+    // Under --compare the same refusal comes from the pfabric arm.
+    let dibs_policy = scenario_file("dibs_sim_cli_dibs_policy.json", &policy("dctcp_dibs"));
+    let out = dibs_sim(&["--compare", &dibs_policy]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("scheme pfabric"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
@@ -90,19 +107,23 @@ fn a_good_scenario_still_runs() {
 /// Golden pin for the `Scenario::build` traffic path: `scenarios/incast.json`
 /// is a round-robin `incast` workload on the mini testbed. Any change to how
 /// the CLI maps responders around the target, or to the simulation it
-/// feeds, changes this digest.
+/// feeds, changes these digests. `--compare` runs all three schemes, so the
+/// pin covers the DCTCP baseline and the pFabric host stack and switch too.
 #[test]
 fn incast_scenario_digest_is_pinned() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/incast.json");
-    let out = dibs_sim(&["--digest", &path.to_string_lossy()]);
+    let out = dibs_sim(&["--digest", "--compare", &path.to_string_lossy()]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(
-        stdout.contains("DctcpDibs 0x8b49127ce0458072"),
-        "digest moved:\n{stdout}"
-    );
+    for pin in [
+        "Dctcp 0xbedfba0252eda8cd",
+        "DctcpDibs 0x8b49127ce0458072",
+        "Pfabric 0x1b883271d3c1a2f9",
+    ] {
+        assert!(stdout.contains(pin), "digest moved ({pin}):\n{stdout}");
+    }
 }

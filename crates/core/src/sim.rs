@@ -171,8 +171,10 @@ pub struct Simulation {
     flows: Vec<FlowState>,
     queries: Vec<QueryState>,
 
+    /// Host-side and fabric-wide counters; the switch-side ones (ECN
+    /// marks, detours, displacements) live in each [`SwitchCore`] until
+    /// `finalize` folds them in.
     counters: NetCounters,
-    detours_per_switch: Vec<u64>,
     detour_hist: Vec<u64>,
     qct_ms: Samples,
     bg_short_fct_ms: Samples,
@@ -270,7 +272,6 @@ impl Simulation {
             flows: Vec::new(),
             queries: Vec::new(),
             counters: NetCounters::default(),
-            detours_per_switch: vec![0; n_sw],
             detour_hist: vec![0; DETOUR_HIST_BUCKETS],
             qct_ms: Samples::new(),
             bg_short_fct_ms: Samples::new(),
@@ -456,12 +457,14 @@ impl Simulation {
     }
 
     /// Packet conservation: every injected packet is delivered, dropped,
-    /// or still in the packet store.
+    /// or still in the packet store. Runs before `finalize` folds the
+    /// switches' displacement counts into `counters`, so it adds them here.
     fn conservation_check(&self) {
+        let displaced: u64 = self.switches.iter().map(|s| s.counters().displaced).sum();
         AuditLedger::check(&LedgerSnapshot {
             sent: self.counters.packets_sent,
             delivered: self.counters.packets_delivered,
-            dropped: self.counters.total_drops(),
+            dropped: self.counters.total_drops() + displaced,
             in_flight: self.store.live(),
         });
     }
@@ -890,18 +893,11 @@ impl Simulation {
             &mut self.tracer,
         );
         if let Some(d) = result.displaced {
-            self.counters.drops_displaced += 1;
             let displaced = self.store.release(d);
             self.pfc_on_dequeued(node, usize::from(displaced.last_ingress));
         }
         match result.outcome {
-            EnqueueOutcome::Enqueued { port } => {
-                self.pfc_on_buffered(node, ingress);
-                self.kick(node, port);
-            }
-            EnqueueOutcome::Detoured { port } => {
-                self.counters.detours += 1;
-                self.detours_per_switch[si] += 1;
+            EnqueueOutcome::Enqueued { port } | EnqueueOutcome::Detoured { port } => {
                 self.pfc_on_buffered(node, ingress);
                 self.kick(node, port);
             }
@@ -1127,8 +1123,13 @@ impl Simulation {
         }
 
         // Fold in switch and sender counters.
+        let mut detours_per_switch = Vec::with_capacity(self.switches.len());
         for sw in &self.switches {
-            self.counters.ecn_marks += sw.counters().marked;
+            let c = sw.counters();
+            self.counters.ecn_marks += c.marked;
+            self.counters.detours += c.detoured;
+            self.counters.drops_displaced += c.displaced;
+            detours_per_switch.push(c.detoured);
         }
         for f in &self.flows {
             self.counters.rto_timeouts += f.sender.counters().timeouts;
@@ -1184,7 +1185,7 @@ impl Simulation {
             flows: flow_outcomes,
             queries: query_outcomes,
             counters: self.counters,
-            detours_per_switch: self.detours_per_switch,
+            detours_per_switch,
             detour_histogram: self.detour_hist,
             hot_fraction_samples: self.hot_samples,
             neighbor_free_1hop: self.neighbor_free_1hop,

@@ -137,11 +137,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Total events dispatched so far.
     pub fn dispatched(&self) -> u64 {
         self.queue.total_popped()
@@ -175,8 +170,8 @@ mod tests {
         assert_eq!(e.next_event(), Some(1));
         assert_eq!(e.next_event(), None);
         assert_eq!(e.now(), SimTime::from_millis(2));
-        // Event 2 is still pending but will never run.
-        assert_eq!(e.pending(), 1);
+        // Event 2 is still queued but will never run.
+        assert_eq!(e.queue_mut().len(), 1);
     }
 
     #[test]
@@ -206,7 +201,7 @@ mod tests {
         assert_eq!(e.high_watermark(), 3);
         // Draining does not lower the watermark.
         while e.next_event().is_some() {}
-        assert_eq!(e.pending(), 0);
+        assert!(e.queue_mut().is_empty());
         assert_eq!(e.high_watermark(), 3);
         // A smaller later burst does not raise it.
         e.schedule_in(SimDuration::from_millis(1), 4);

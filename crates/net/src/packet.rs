@@ -77,10 +77,11 @@ pub struct Packet {
     pub hops: u16,
     /// When the sender emitted this packet.
     pub sent_at: SimTime,
-    /// On acks: the echoed `sent_at` of the data packet that triggered the
-    /// ack (TCP timestamps, RFC 7323). Lets the sender take RTT samples
-    /// that stay valid across retransmissions.
-    pub ts_echo: Option<SimTime>,
+    /// Read on acks only: the echoed `sent_at` of the newest data packet
+    /// the ack covers (TCP timestamps, RFC 7323), the sender's one RTT
+    /// sample source, valid across retransmissions. Data packets carry
+    /// [`SimTime::ZERO`].
+    pub ts_echo: SimTime,
     /// Whether this is a retransmission (diagnostics).
     pub retransmit: bool,
 }
@@ -115,12 +116,13 @@ impl Packet {
             last_ingress: 0,
             hops: 0,
             sent_at,
-            ts_echo: None,
+            ts_echo: SimTime::ZERO,
             retransmit: false,
         }
     }
 
-    /// Builds a pure acknowledgment.
+    /// Builds a pure acknowledgment; the receiver then sets its
+    /// [`Packet::ts_echo`].
     #[allow(clippy::too_many_arguments)]
     pub fn ack(
         id: PacketId,
@@ -149,7 +151,7 @@ impl Packet {
             last_ingress: 0,
             hops: 0,
             sent_at,
-            ts_echo: None,
+            ts_echo: SimTime::ZERO,
             retransmit: false,
         }
     }

@@ -26,8 +26,6 @@ pub struct SwitchConfig {
     pub dibs: DibsPolicy,
     /// Queue service discipline.
     pub discipline: Discipline,
-    /// Whether detoured packets are also CE-marked (§5.3: they are).
-    pub mark_detoured: bool,
 }
 
 impl SwitchConfig {
@@ -38,7 +36,6 @@ impl SwitchConfig {
             ecn_threshold: Some(20),
             dibs: DibsPolicy::Disabled,
             discipline: Discipline::Fifo,
-            mark_detoured: true,
         }
     }
 
@@ -58,7 +55,6 @@ impl SwitchConfig {
             ecn_threshold: None,
             dibs: DibsPolicy::Disabled,
             discipline: Discipline::Pfabric,
-            mark_detoured: false,
         }
     }
 }
@@ -458,7 +454,8 @@ impl SwitchCore {
             .config
             .ecn_threshold
             .is_some_and(|k| self.queues[port].len() >= k);
-        if over_threshold || (detoured && self.config.mark_detoured) {
+        // §5.3: a detoured packet is always CE-marked.
+        if over_threshold || detoured {
             if !pkt.ce {
                 self.counters.marked += 1;
                 tracer.emit(
@@ -612,7 +609,6 @@ mod tests {
                 ecn_threshold: Some(2),
                 dibs,
                 discipline: Discipline::Fifo,
-                mark_detoured: true,
             },
             vec![true, false, false, false],
         )
@@ -646,7 +642,6 @@ mod tests {
                 ecn_threshold: None,
                 dibs: DibsPolicy::Disabled,
                 discipline: Discipline::Fifo,
-                mark_detoured: true,
             },
             vec![true, false, false, false],
         );
@@ -899,7 +894,6 @@ mod tests {
                 ecn_threshold: None,
                 dibs: DibsPolicy::Disabled,
                 discipline: Discipline::Fifo,
-                mark_detoured: false,
             },
             vec![false, false, false, false],
         );
@@ -941,7 +935,6 @@ mod tests {
                 ecn_threshold: None,
                 dibs: DibsPolicy::Probabilistic { onset: 0.0 },
                 discipline: Discipline::Fifo,
-                mark_detoured: false,
             },
             vec![false, false],
         );

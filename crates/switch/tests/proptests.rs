@@ -104,7 +104,6 @@ fn static_buffer_invariants() {
                 DibsPolicy::Disabled
             },
             discipline: Discipline::Fifo,
-            mark_detoured: true,
         };
         // Port 0 faces a host.
         let mut sw = SwitchCore::new(
@@ -183,7 +182,6 @@ fn dba_pool_never_overflows() {
             ecn_threshold: None,
             dibs: DibsPolicy::Random,
             discipline: Discipline::Fifo,
-            mark_detoured: false,
         };
         let mut sw = SwitchCore::new(NodeId(0), cfg, vec![false; 4]);
         let mut sw_rng = SimRng::new(seed);
@@ -287,7 +285,6 @@ fn ecn_marks_match_threshold() {
             ecn_threshold: Some(k),
             dibs: DibsPolicy::Disabled,
             discipline: Discipline::Fifo,
-            mark_detoured: false,
         };
         let mut sw = SwitchCore::new(NodeId(0), cfg, vec![false]);
         let mut sw_rng = SimRng::new(1);

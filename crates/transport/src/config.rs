@@ -22,10 +22,12 @@ pub enum CcAlgorithm {
     /// DCTCP: maintain the EWMA fraction `alpha` of marked bytes (gain
     /// [`DCTCP_GAIN`]) and cut `cwnd` by `alpha/2` once per window.
     Dctcp,
-    /// Fixed window: no reaction to marks or losses. Used by the pFabric
-    /// host stack, which starts at line rate and relies on priority
-    /// scheduling plus a small fixed RTO.
-    Fixed,
+    /// The pFabric host stack (§5.8): a fixed window that ignores marks
+    /// and losses, an RTO fixed at `min_rto` with no RTT estimation or
+    /// backoff, remaining-size priority stamps, and a one-segment probe on
+    /// each timeout. It starts at line rate and relies on the switches'
+    /// priority scheduling.
+    Pfabric,
 }
 
 /// Full per-connection transport configuration.
@@ -35,20 +37,15 @@ pub struct TcpConfig {
     pub mss: u32,
     /// Initial congestion window, in segments (Table 1: 10).
     pub init_cwnd: u32,
-    /// Lower bound on the retransmission timeout (Table 1: 10 ms).
+    /// Lower bound on the retransmission timeout (Table 1: 10 ms); under
+    /// [`CcAlgorithm::Pfabric`], the fixed RTO itself.
     pub min_rto: SimDuration,
     /// Upper bound on the (backed-off) retransmission timeout.
     pub max_rto: SimDuration,
-    /// Fixed RTO override: when set, RTT estimation is disabled and the RTO
-    /// is always exactly this value (pFabric: 350 µs on 1 Gbps links).
-    pub fixed_rto: Option<SimDuration>,
     /// Fast-retransmit policy.
     pub fast_retransmit: FastRetransmit,
     /// Congestion control algorithm.
     pub cc: CcAlgorithm,
-    /// Stamp each data packet's priority with the flow's remaining bytes
-    /// (pFabric scheduling).
-    pub priority_stamping: bool,
     /// Initial TTL for emitted packets (Fig 13 sweeps this).
     pub initial_ttl: u8,
     /// Receiver ack coalescing: 1 acks every packet (exact DCTCP marking
@@ -66,10 +63,8 @@ impl TcpConfig {
             init_cwnd: 10,
             min_rto: SimDuration::from_millis(10),
             max_rto: SimDuration::from_secs(2),
-            fixed_rto: None,
             fast_retransmit: FastRetransmit::DupAckThreshold(3),
             cc: CcAlgorithm::Dctcp,
-            priority_stamping: false,
             initial_ttl: 255,
             ack_every: 1,
         }
@@ -84,20 +79,15 @@ impl TcpConfig {
         }
     }
 
-    /// The pFabric host stack of §5.8: fixed window, 350 µs fixed RTO,
+    /// The pFabric host stack of §5.8: fixed window, 350 µs fixed RTO
+    /// (the RTO never exceeds it, so `max_rto` is not read),
     /// remaining-size priority stamping.
     pub fn pfabric() -> Self {
         TcpConfig {
-            mss: 1460,
-            init_cwnd: 10,
             min_rto: SimDuration::from_micros(350),
-            max_rto: SimDuration::from_millis(100),
-            fixed_rto: Some(SimDuration::from_micros(350)),
+            cc: CcAlgorithm::Pfabric,
             fast_retransmit: FastRetransmit::Disabled,
-            cc: CcAlgorithm::Fixed,
-            priority_stamping: true,
-            initial_ttl: 255,
-            ack_every: 1,
+            ..Self::dctcp_baseline()
         }
     }
 
@@ -123,8 +113,7 @@ mod tests {
         assert_eq!(dibs.fast_retransmit, FastRetransmit::Disabled);
 
         let pf = TcpConfig::pfabric();
-        assert_eq!(pf.fixed_rto, Some(SimDuration::from_micros(350)));
-        assert!(pf.priority_stamping);
-        assert_eq!(pf.cc, CcAlgorithm::Fixed);
+        assert_eq!(pf.min_rto, SimDuration::from_micros(350));
+        assert_eq!(pf.cc, CcAlgorithm::Pfabric);
     }
 }

@@ -8,8 +8,12 @@
 //! sender/receiver pair with two congestion-control personalities:
 //!
 //! * [`config::CcAlgorithm::Dctcp`] — ECN-fraction-proportional decrease.
-//! * [`config::CcAlgorithm::Fixed`] — pFabric's fixed-window host stack
-//!   with a small fixed RTO and remaining-size priority stamping.
+//! * [`config::CcAlgorithm::Pfabric`] — pFabric's fixed-window host stack
+//!   with a small fixed RTO, remaining-size priority stamping and
+//!   one-segment probes on timeout.
+//!
+//! Every ack echoes the send time of the newest data packet it covers
+//! (TCP timestamps); those echoes are the sender's only RTT samples.
 //!
 //! Senders and receivers are pure state machines: they return packets and
 //! expose timer demands; the simulator core does all scheduling.
@@ -43,11 +47,6 @@ impl IdGen {
         self.next += 1;
         id
     }
-
-    /// How many ids have been allocated.
-    pub fn allocated(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]
@@ -59,6 +58,5 @@ mod tests {
         let mut g = IdGen::new();
         assert_eq!(g.next(), PacketId(0));
         assert_eq!(g.next(), PacketId(1));
-        assert_eq!(g.allocated(), 2);
     }
 }

@@ -24,8 +24,6 @@ use std::collections::BTreeMap;
 /// Receiver-side counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReceiverCounters {
-    /// Data packets accepted (in order or buffered).
-    pub packets_received: u64,
     /// Packets that arrived out of order and were buffered.
     pub out_of_order: u64,
     /// Packets that duplicated already-received data.
@@ -133,7 +131,6 @@ impl TcpReceiver {
         debug_assert!(pkt.is_data());
         debug_assert_eq!(pkt.flow, self.flow);
         let (start, end) = (pkt.seq, pkt.seq_end());
-        self.counters.packets_received += 1;
 
         let mut exceptional = false; // Duplicate / OOO / gap-filling.
         if end <= self.rcv_nxt {
@@ -158,7 +155,7 @@ impl TcpReceiver {
         }
 
         if self.ack_every == 1 {
-            return Some(self.make_ack(pkt.ce, Some(pkt.sent_at), now, ids));
+            return Some(self.make_ack(pkt.ce, pkt.sent_at, now, ids));
         }
 
         // DCTCP delayed-ack state machine.
@@ -168,29 +165,22 @@ impl TcpReceiver {
             // packet pending.
             let old_state = self.last_ce;
             self.last_ce = pkt.ce;
-            let echo = self.pending_ts.take();
+            let echo = self.pending_ts.replace(pkt.sent_at).unwrap_or(pkt.sent_at);
             self.pending = 1;
-            self.pending_ts = Some(pkt.sent_at);
-            return Some(self.make_ack(old_state, echo.or(Some(pkt.sent_at)), now, ids));
+            return Some(self.make_ack(old_state, echo, now, ids));
         }
         self.pending += 1;
-        self.pending_ts = Some(pkt.sent_at);
         let done = self.rcv_nxt >= self.expected;
         if exceptional || done || self.pending >= self.ack_every {
             self.pending = 0;
-            let echo = self.pending_ts.take();
-            return Some(self.make_ack(self.last_ce, echo, now, ids));
+            self.pending_ts = None;
+            return Some(self.make_ack(self.last_ce, pkt.sent_at, now, ids));
         }
+        self.pending_ts = Some(pkt.sent_at);
         None
     }
 
-    fn make_ack(
-        &mut self,
-        ece: bool,
-        ts_echo: Option<SimTime>,
-        now: SimTime,
-        ids: &mut IdGen,
-    ) -> Packet {
+    fn make_ack(&mut self, ece: bool, ts_echo: SimTime, now: SimTime, ids: &mut IdGen) -> Packet {
         self.counters.acks_sent += 1;
         let mut ack = Packet::ack(
             ids.next(),
@@ -479,6 +469,6 @@ mod tests {
         p1.sent_at = SimTime::from_micros(200);
         assert!(r.on_data(&p0, SimTime::ZERO, &mut ids).is_none());
         let a = r.on_data(&p1, SimTime::ZERO, &mut ids).unwrap();
-        assert_eq!(a.ts_echo, Some(SimTime::from_micros(200)));
+        assert_eq!(a.ts_echo, SimTime::from_micros(200));
     }
 }

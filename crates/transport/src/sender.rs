@@ -1,9 +1,10 @@
 //! The TCP sender state machine.
 //!
-//! A byte-sequence sliding-window sender with pluggable congestion control
-//! (DCTCP / fixed-window), RTO management with Karn's rule and
-//! exponential backoff, optional dupack-threshold fast retransmit, and
-//! pFabric remaining-size priority stamping.
+//! A byte-sequence sliding-window sender with two congestion-control
+//! personalities (DCTCP, pFabric), an RFC 6298 RTO estimated from TCP
+//! timestamp echoes with exponential backoff and Eifel undo, optional
+//! dupack-threshold fast retransmit, and pFabric remaining-size priority
+//! stamping.
 //!
 //! The sender is substrate-free: methods return the packets to transmit and
 //! expose the current retransmission-timer demand via [`TcpSender::timer`];
@@ -20,18 +21,12 @@ use dibs_trace::{Subject, TraceKind, Tracer};
 /// Sender-side counters (per flow).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SenderCounters {
-    /// Data packets emitted (including retransmissions).
-    pub packets_sent: u64,
-    /// Payload bytes emitted (including retransmissions).
-    pub bytes_sent: u64,
     /// Retransmission timeouts taken.
     pub timeouts: u64,
     /// Fast retransmissions taken.
     pub fast_retransmits: u64,
     /// Timeouts later proven spurious via the timestamp echo (Eifel).
     pub spurious_timeouts: u64,
-    /// Cumulative duplicate acks observed.
-    pub dupacks: u64,
 }
 
 /// A single unidirectional TCP data transfer.
@@ -59,17 +54,9 @@ pub struct TcpSender {
     backoff: u32,
     timer_gen: u64,
     timer_deadline: Option<SimTime>,
-    /// Send-time history of in-flight segments, `(segment end, send time)`,
-    /// oldest first. Each advancing ack yields an RTT sample from the
-    /// newest segment it covers — matching NS-3's per-segment RTT history,
-    /// which keeps the RTO tracking queue buildup *within* a burst.
-    /// Invalidated by any retransmission (Karn's rule). Unused once the
-    /// peer echoes timestamps (see [`TcpSender::on_ack`]).
-    rtt_history: std::collections::VecDeque<(u64, SimTime)>,
-    /// Whether a timestamp echo has been seen (disables history sampling).
-    timestamps_seen: bool,
     /// Eifel spurious-timeout detection state: `(timeout instant,
-    /// pre-collapse cwnd, pre-collapse ssthresh)`, armed by each RTO.
+    /// pre-collapse cwnd, pre-collapse ssthresh)`, armed by each DCTCP
+    /// timeout (a pFabric timeout collapses nothing to undo).
     spurious_check: Option<(SimTime, f64, f64)>,
 
     // DCTCP state.
@@ -103,12 +90,10 @@ impl TcpSender {
             recover: 0,
             srtt: None,
             rttvar: SimDuration::ZERO,
-            rto: cfg.fixed_rto.unwrap_or(cfg.min_rto),
+            rto: cfg.min_rto,
             backoff: 0,
             timer_gen: 0,
             timer_deadline: None,
-            rtt_history: std::collections::VecDeque::new(),
-            timestamps_seen: false,
             spurious_check: None,
             alpha: 1.0,
             bytes_acked_window: 0,
@@ -205,36 +190,33 @@ impl TcpSender {
     }
 
     /// Handles a cumulative acknowledgment carrying the receiver's ECN echo
-    /// and (when available) the RFC 7323 timestamp echo.
+    /// and its RFC 7323 timestamp echo: the send time of the newest data
+    /// packet the ack covers.
     pub fn on_ack(
         &mut self,
         ack: u64,
         ece: bool,
-        ts_echo: Option<SimTime>,
+        ts_echo: SimTime,
         now: SimTime,
         ids: &mut IdGen,
     ) -> Vec<Packet> {
-        // Timestamp-based RTT sample: valid regardless of retransmissions
-        // (the echo identifies the actual transmission being acked), so it
-        // keeps the RTO tracking queue buildup even after a spurious
-        // timeout, where Karn's rule would go blind.
-        if let Some(echo) = ts_echo {
-            self.timestamps_seen = true;
-            self.update_rtt(now.saturating_since(echo));
-            // Eifel detection (RFC 3522 spirit): an advancing ack whose
-            // echo predates the last timeout acknowledges the *original*
-            // transmission — the timeout was spurious. Undo the congestion
-            // response instead of crawling back through slow start.
-            if let Some((rto_at, prior_cwnd, prior_ssthresh)) = self.spurious_check {
-                if ack > self.snd_una {
-                    if echo < rto_at && self.cfg.cc != CcAlgorithm::Fixed {
-                        self.cwnd = prior_cwnd;
-                        self.ssthresh = prior_ssthresh;
-                        self.backoff = 0;
-                        self.counters.spurious_timeouts += 1;
-                    }
-                    self.spurious_check = None;
+        // Every ack is an RTT sample, valid across retransmissions (the
+        // echo identifies the transmission being acked), so the RTO keeps
+        // tracking queue buildup even after a spurious timeout.
+        self.update_rtt(now.saturating_since(ts_echo));
+        // Eifel detection (RFC 3522 spirit): an advancing ack whose echo
+        // predates the last timeout acknowledges the *original*
+        // transmission — the timeout was spurious. Undo the congestion
+        // response instead of crawling back through slow start.
+        if let Some((rto_at, prior_cwnd, prior_ssthresh)) = self.spurious_check {
+            if ack > self.snd_una {
+                if ts_echo < rto_at {
+                    self.cwnd = prior_cwnd;
+                    self.ssthresh = prior_ssthresh;
+                    self.backoff = 0;
+                    self.counters.spurious_timeouts += 1;
                 }
+                self.spurious_check = None;
             }
         }
         if self.completed.is_some() || self.started.is_none() {
@@ -247,30 +229,13 @@ impl TcpSender {
             self.snd_nxt = ack;
         }
         if ack <= self.snd_una {
-            return self.on_dupack(ack, now, ids);
+            return self.on_dupack(now, ids);
         }
 
         let newly = ack - self.snd_una;
         self.snd_una = ack;
         self.dupacks = 0;
         self.backoff = 0;
-
-        // RTT sample: the newest fully-acked segment in the send-time
-        // history (Karn: the history is cleared on any retransmission).
-        let mut newest_covered: Option<SimTime> = None;
-        while let Some(&(seg_end, sent_at)) = self.rtt_history.front() {
-            if ack >= seg_end {
-                newest_covered = Some(sent_at);
-                self.rtt_history.pop_front();
-            } else {
-                break;
-            }
-        }
-        if let Some(sent_at) = newest_covered {
-            if !self.timestamps_seen {
-                self.update_rtt(now.saturating_since(sent_at));
-            }
-        }
 
         // DCTCP per-window marking accounting. The window "ends" when the
         // ack passes the snd_nxt recorded at the previous window end; the
@@ -284,25 +249,24 @@ impl TcpSender {
             self.end_marking_window();
         }
 
-        // ECE reaction: at most one reduction per window.
-        if ece && !self.cwr {
-            self.cwr = true;
-            let factor = match self.cfg.cc {
-                CcAlgorithm::Dctcp => 1.0 - self.alpha / 2.0,
-                CcAlgorithm::Fixed => 1.0,
-            };
-            self.cwnd = (self.cwnd * factor).max(self.cfg.min_cwnd());
-            self.ssthresh = self.cwnd;
-        } else if self.cfg.cc != CcAlgorithm::Fixed {
-            // Additive growth.
-            if self.cwnd < self.ssthresh {
-                // Slow start: cwnd grows by the bytes acked.
+        match self.cfg.cc {
+            // ECE reaction: at most one reduction per window.
+            CcAlgorithm::Dctcp if ece && !self.cwr => {
+                self.cwr = true;
+                self.cwnd = (self.cwnd * (1.0 - self.alpha / 2.0)).max(self.cfg.min_cwnd());
+                self.ssthresh = self.cwnd;
+            }
+            // Slow start: cwnd grows by the bytes acked.
+            CcAlgorithm::Dctcp if self.cwnd < self.ssthresh => {
                 self.cwnd = (self.cwnd + newly as f64).min(self.ssthresh.min(1e18));
-            } else {
-                // Congestion avoidance: +MSS per cwnd of acked data.
+            }
+            // Congestion avoidance: +MSS per cwnd of acked data.
+            CcAlgorithm::Dctcp => {
                 let mss = f64::from(self.cfg.mss);
                 self.cwnd += mss * (newly as f64 / self.cwnd);
             }
+            // Fixed window.
+            CcAlgorithm::Pfabric => {}
         }
 
         if self.snd_una >= self.size {
@@ -339,14 +303,11 @@ impl TcpSender {
         }
         self.counters.timeouts += 1;
 
-        // Multiplicative backoff (skipped under a fixed RTO, per pFabric).
-        if self.cfg.fixed_rto.is_none() {
+        // Back off, collapse the window and go back to snd_una, remembering
+        // the pre-collapse state for Eifel undo. pFabric's fixed RTO and
+        // window take none of this.
+        if self.cfg.cc == CcAlgorithm::Dctcp {
             self.backoff = (self.backoff + 1).min(10);
-        }
-
-        // Collapse the window and go back to snd_una, remembering the
-        // pre-collapse state for Eifel undo.
-        if self.cfg.cc != CcAlgorithm::Fixed {
             let inflight = self.inflight() as f64;
             self.spurious_check = Some((now, self.cwnd, self.ssthresh));
             self.ssthresh = (inflight / 2.0).max(2.0 * f64::from(self.cfg.mss));
@@ -355,22 +316,22 @@ impl TcpSender {
         self.snd_nxt = self.snd_una;
         self.dupacks = 0;
         self.recover = self.snd_una;
-        self.rtt_history.clear(); // Karn's rule.
         self.cwr = false;
         self.window_end = self.snd_una;
         self.bytes_acked_window = 0;
         self.bytes_marked_window = 0;
 
-        let pkts = if self.cfg.cc == CcAlgorithm::Fixed {
+        let pkts = match self.cfg.cc {
+            CcAlgorithm::Dctcp => self.pump_retransmit(now, ids),
             // pFabric probe mode: a timed-out flow retransmits a single
             // segment per RTO rather than re-injecting its whole window,
             // bounding the retransmission storm its small fixed RTO would
             // otherwise create.
-            let pkt = self.make_segment(self.snd_una, now, ids, true);
-            self.snd_nxt = self.snd_una + u64::from(pkt.payload_bytes);
-            vec![pkt]
-        } else {
-            self.pump_retransmit(now, ids)
+            CcAlgorithm::Pfabric => {
+                let pkt = self.make_segment(self.snd_una, now, ids, true);
+                self.snd_nxt = self.snd_una + u64::from(pkt.payload_bytes);
+                vec![pkt]
+            }
         };
         self.arm_timer(now);
         tracer.emit(
@@ -384,9 +345,8 @@ impl TcpSender {
         pkts
     }
 
-    fn on_dupack(&mut self, _ack: u64, now: SimTime, ids: &mut IdGen) -> Vec<Packet> {
+    fn on_dupack(&mut self, now: SimTime, ids: &mut IdGen) -> Vec<Packet> {
         self.dupacks += 1;
-        self.counters.dupacks += 1;
         let FastRetransmit::DupAckThreshold(k) = self.cfg.fast_retransmit else {
             return Vec::new();
         };
@@ -396,12 +356,11 @@ impl TcpSender {
         // Fast retransmit + simplified fast recovery.
         self.counters.fast_retransmits += 1;
         self.recover = self.snd_nxt;
-        if self.cfg.cc != CcAlgorithm::Fixed {
+        if self.cfg.cc == CcAlgorithm::Dctcp {
             let inflight = self.inflight() as f64;
             self.ssthresh = (inflight / 2.0).max(2.0 * f64::from(self.cfg.mss));
             self.cwnd = self.ssthresh;
         }
-        self.rtt_history.clear(); // Karn's rule.
         let pkt = self.make_segment(self.snd_una, now, ids, true);
         self.arm_timer(now);
         vec![pkt]
@@ -413,7 +372,6 @@ impl TcpSender {
         while self.snd_nxt < self.size && (self.inflight() as f64) < self.cwnd {
             let pkt = self.make_segment(self.snd_nxt, now, ids, false);
             self.snd_nxt += u64::from(pkt.payload_bytes);
-            self.rtt_history.push_back((self.snd_nxt, now));
             out.push(pkt);
         }
         out
@@ -446,12 +404,10 @@ impl TcpSender {
             now,
         );
         pkt.retransmit = rtx;
-        if self.cfg.priority_stamping {
+        if self.cfg.cc == CcAlgorithm::Pfabric {
             // pFabric: priority is the flow's remaining size.
             pkt.priority = self.size - self.snd_una;
         }
-        self.counters.packets_sent += 1;
-        self.counters.bytes_sent += u64::from(len);
         pkt
     }
 
@@ -468,7 +424,7 @@ impl TcpSender {
     }
 
     fn update_rtt(&mut self, sample: SimDuration) {
-        if self.cfg.fixed_rto.is_some() {
+        if self.cfg.cc == CcAlgorithm::Pfabric {
             return;
         }
         match self.srtt {
@@ -496,13 +452,14 @@ impl TcpSender {
     }
 
     fn current_rto(&self) -> SimDuration {
-        if let Some(fixed) = self.cfg.fixed_rto {
-            return fixed;
+        match self.cfg.cc {
+            CcAlgorithm::Dctcp => self
+                .rto
+                .saturating_mul(1u64 << self.backoff.min(10))
+                .min(self.cfg.max_rto)
+                .max(self.cfg.min_rto),
+            CcAlgorithm::Pfabric => self.cfg.min_rto,
         }
-        self.rto
-            .saturating_mul(1u64 << self.backoff.min(10))
-            .min(self.cfg.max_rto)
-            .max(self.cfg.min_rto)
     }
 
     fn arm_timer(&mut self, now: SimTime) {
@@ -575,10 +532,10 @@ mod tests {
         let t0 = SimTime::ZERO;
         s.start(t0, &mut ids);
         let t1 = SimTime::from_micros(100);
-        let more = s.on_ack(1460, false, None, t1, &mut ids);
+        let more = s.on_ack(1460, false, t0, t1, &mut ids);
         assert!(more.is_empty(), "window already covers the flow");
         assert!(!s.is_complete());
-        s.on_ack(2920, false, None, SimTime::from_micros(200), &mut ids);
+        s.on_ack(2920, false, t0, SimTime::from_micros(200), &mut ids);
         assert!(s.is_complete());
         assert_eq!(s.completed_at(), Some(SimTime::from_micros(200)));
         assert!(s.timer().is_none(), "timer disarmed at completion");
@@ -591,7 +548,13 @@ mod tests {
         let cwnd0 = s.cwnd();
         // Ack the whole initial window without marks.
         let mut sent = 14_600;
-        let pkts = s.on_ack(sent, false, None, SimTime::from_micros(100), &mut ids);
+        let pkts = s.on_ack(
+            sent,
+            false,
+            SimTime::ZERO,
+            SimTime::from_micros(100),
+            &mut ids,
+        );
         assert!(s.cwnd() >= cwnd0 * 1.9, "slow start should ~double");
         // And the pump refills the (now larger) window.
         sent += pkts.iter().map(|p| u64::from(p.payload_bytes)).sum::<u64>();
@@ -608,19 +571,23 @@ mod tests {
         s.cwnd = 4.0 * 1460.0;
         assert_eq!(s.alpha(), 1.0);
         // Repeatedly ack whole windows with no marks: alpha decays toward 0.
+        // Each ack echoes the previous ack's instant, when the window it
+        // covers was sent.
         let mut now = SimTime::ZERO;
         for _ in 0..100 {
+            let sent = now;
             now += SimDuration::from_micros(100);
             let ack_to = s.snd_nxt_test();
-            s.on_ack(ack_to, false, None, now, &mut ids);
+            s.on_ack(ack_to, false, sent, now, &mut ids);
         }
         assert!(!s.is_complete());
         assert!(s.alpha() < 0.01, "alpha should decay: {}", s.alpha());
         // Now mark everything: alpha climbs back up.
         for _ in 0..100 {
+            let sent = now;
             now += SimDuration::from_micros(100);
             let ack_to = s.snd_nxt_test();
-            s.on_ack(ack_to, true, None, now, &mut ids);
+            s.on_ack(ack_to, true, sent, now, &mut ids);
         }
         assert!(!s.is_complete());
         assert!(s.alpha() > 0.9, "alpha should rise: {}", s.alpha());
@@ -632,10 +599,12 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         // Drive alpha to a known value by ending one fully-marked window.
         let w = s.snd_nxt_test();
-        s.on_ack(w, true, None, SimTime::from_micros(50), &mut ids);
+        let t1 = SimTime::from_micros(50);
+        s.on_ack(w, true, SimTime::ZERO, t1, &mut ids);
         let after_first = s.cwnd();
-        // A second ECE ack in the same window must not cut again.
-        s.on_ack(w + 1460, true, None, SimTime::from_micros(60), &mut ids);
+        // A second ECE ack in the same window must not cut again; it covers
+        // a segment the first ack's pump sent.
+        s.on_ack(w + 1460, true, t1, SimTime::from_micros(60), &mut ids);
         assert!(s.cwnd() >= after_first, "second cut within window");
     }
 
@@ -662,7 +631,13 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         let (_, gen) = s.timer().unwrap();
         // An ack re-arms the timer, bumping the generation.
-        s.on_ack(1460, false, None, SimTime::from_micros(100), &mut ids);
+        s.on_ack(
+            1460,
+            false,
+            SimTime::ZERO,
+            SimTime::from_micros(100),
+            &mut ids,
+        );
         let pkts = s.on_rto(
             gen,
             SimTime::from_millis(10),
@@ -680,16 +655,18 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         let t = SimTime::from_micros(100);
         // First ack advances, then three dups trigger a fast retransmit.
-        s.on_ack(1460, false, None, t, &mut ids);
-        assert!(s.on_ack(1460, false, None, t, &mut ids).is_empty());
-        assert!(s.on_ack(1460, false, None, t, &mut ids).is_empty());
-        let rtx = s.on_ack(1460, false, None, t, &mut ids);
+        // All four are triggered by initial-window segments sent at 0.
+        let sent = SimTime::ZERO;
+        s.on_ack(1460, false, sent, t, &mut ids);
+        assert!(s.on_ack(1460, false, sent, t, &mut ids).is_empty());
+        assert!(s.on_ack(1460, false, sent, t, &mut ids).is_empty());
+        let rtx = s.on_ack(1460, false, sent, t, &mut ids);
         assert_eq!(rtx.len(), 1);
         assert_eq!(rtx[0].seq, 1460);
         assert!(rtx[0].retransmit);
         assert_eq!(s.counters().fast_retransmits, 1);
         // Further dups in the same recovery epoch do not retransmit again.
-        assert!(s.on_ack(1460, false, None, t, &mut ids).is_empty());
+        assert!(s.on_ack(1460, false, sent, t, &mut ids).is_empty());
     }
 
     #[test]
@@ -704,9 +681,9 @@ mod tests {
         let mut ids = IdGen::new();
         s.start(SimTime::ZERO, &mut ids);
         let t = SimTime::from_micros(100);
-        s.on_ack(1460, false, None, t, &mut ids);
+        s.on_ack(1460, false, SimTime::ZERO, t, &mut ids);
         for _ in 0..50 {
-            assert!(s.on_ack(1460, false, None, t, &mut ids).is_empty());
+            assert!(s.on_ack(1460, false, SimTime::ZERO, t, &mut ids).is_empty());
         }
         assert_eq!(s.counters().fast_retransmits, 0);
     }
@@ -724,7 +701,13 @@ mod tests {
         let pkts = s.start(SimTime::ZERO, &mut ids);
         assert!(pkts.iter().all(|p| p.priority == 14_600));
         // After half is acked, fresh packets carry the smaller remainder.
-        let more = s.on_ack(7300, false, None, SimTime::from_micros(50), &mut ids);
+        let more = s.on_ack(
+            7300,
+            false,
+            SimTime::ZERO,
+            SimTime::from_micros(50),
+            &mut ids,
+        );
         assert!(more.iter().all(|p| p.priority == 7300));
         // Fixed window: cwnd unchanged throughout.
         assert_eq!(s.cwnd(), 14_600.0);
@@ -757,7 +740,13 @@ mod tests {
         s.start(SimTime::ZERO, &mut ids);
         // Whole window acked 2 ms later: sample = 2 ms, but min_rto = 10 ms
         // dominates.
-        s.on_ack(14_600, false, None, SimTime::from_millis(2), &mut ids);
+        s.on_ack(
+            14_600,
+            false,
+            SimTime::ZERO,
+            SimTime::from_millis(2),
+            &mut ids,
+        );
         assert_eq!(s.srtt(), Some(SimDuration::from_millis(2)));
         assert_eq!(s.rto(), SimDuration::from_millis(10));
     }
@@ -773,7 +762,7 @@ mod tests {
         // (t=0): the sample must be taken despite the retransmission
         // (Karn's rule would have discarded it).
         let late = SimTime::from_millis(15);
-        s.on_ack(1460, false, Some(SimTime::ZERO), late, &mut ids);
+        s.on_ack(1460, false, SimTime::ZERO, late, &mut ids);
         assert_eq!(s.srtt(), Some(SimDuration::from_millis(15)));
         assert!(s.rto() >= SimDuration::from_millis(15));
     }
@@ -790,7 +779,7 @@ mod tests {
         s.on_ack(
             14_600,
             false,
-            Some(SimTime::ZERO),
+            SimTime::ZERO,
             SimTime::from_millis(15),
             &mut ids,
         );
@@ -813,7 +802,7 @@ mod tests {
         s.on_ack(
             1460,
             false,
-            Some(deadline),
+            deadline,
             deadline + SimDuration::from_micros(100),
             &mut ids,
         );

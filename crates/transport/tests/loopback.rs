@@ -39,6 +39,8 @@ enum WireItem {
 }
 
 /// Ord-able packet wrapper (ordering only used for heap determinism).
+/// It carries the sender's send time and the receiver's timestamp echo,
+/// so acks time the whole round trip, as in the simulator.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct WirePacket {
     is_ack: bool,
@@ -47,6 +49,8 @@ struct WirePacket {
     ce: bool,
     ece: bool,
     id: u64,
+    sent_at: SimTime,
+    ts_echo: SimTime,
 }
 
 impl WirePacket {
@@ -58,6 +62,8 @@ impl WirePacket {
             ce: p.ce,
             ece: p.ece,
             id: p.id.0,
+            sent_at: p.sent_at,
+            ts_echo: p.ts_echo,
         }
     }
 }
@@ -137,9 +143,9 @@ impl Pipe {
                     self.transmit(out);
                 }
                 WireItem::Pkt(wp) if wp.is_ack => {
-                    let out = self
-                        .sender
-                        .on_ack(wp.seq, wp.ece, None, self.now, &mut self.ids);
+                    let out =
+                        self.sender
+                            .on_ack(wp.seq, wp.ece, wp.ts_echo, self.now, &mut self.ids);
                     self.transmit(out);
                 }
                 WireItem::Pkt(wp) => {
@@ -151,7 +157,7 @@ impl Pipe {
                         wp.seq,
                         wp.payload,
                         64,
-                        self.now,
+                        wp.sent_at,
                     );
                     pkt.ce = wp.ce;
                     if let Some(ack) = self.receiver.on_data(&pkt, self.now, &mut self.ids) {
@@ -293,7 +299,7 @@ fn pfabric_stack_completes() {
 }
 
 #[test]
-fn pfabric_survives_repeated_loss_with_fixed_rto() {
+fn pfabric_survives_repeated_loss_at_its_fixed_timeout() {
     let mut pipe = Pipe::new(TcpConfig::pfabric(), 50_000, SimDuration::from_micros(20));
     pipe.drop_nth_data = Some(0); // Lose the very first packet.
     let done = pipe.run().expect("completes");

@@ -26,10 +26,21 @@ impl Channel {
         let mut ids = IdGen::new();
         let base = SimDuration::from_micros(30);
 
+        // Data items keep the sender's send time and acks the receiver's
+        // timestamp echo, so acks time the whole round trip.
         #[derive(PartialEq, Eq, PartialOrd, Ord)]
         enum Item {
-            Data { seq: u64, len: u32, ce: bool },
-            Ack { seq: u64, ece: bool },
+            Data {
+                seq: u64,
+                len: u32,
+                ce: bool,
+                sent_at: SimTime,
+            },
+            Ack {
+                seq: u64,
+                ece: bool,
+                ts_echo: SimTime,
+            },
             Timer(u64),
         }
         let mut heap: BinaryHeap<Reverse<(SimTime, u64, Item)>> = BinaryHeap::new();
@@ -59,6 +70,7 @@ impl Channel {
                         seq: p.seq,
                         len: p.payload_bytes,
                         ce: self.mark_pattern[i % self.mark_pattern.len()],
+                        sent_at: p.sent_at,
                     },
                 )));
             }
@@ -80,7 +92,12 @@ impl Channel {
             }
             now = t;
             let out = match item {
-                Item::Data { seq, len, ce } => {
+                Item::Data {
+                    seq,
+                    len,
+                    ce,
+                    sent_at,
+                } => {
                     let mut pkt = Packet::data(
                         PacketId(steps),
                         FlowId(0),
@@ -89,7 +106,7 @@ impl Channel {
                         seq,
                         len,
                         64,
-                        now,
+                        sent_at,
                     );
                     pkt.ce = ce;
                     // Acks are never dropped in this harness (ack loss is
@@ -102,12 +119,13 @@ impl Channel {
                             Item::Ack {
                                 seq: ack.seq,
                                 ece: ack.ece,
+                                ts_echo: ack.ts_echo,
                             },
                         )));
                     }
                     Vec::new()
                 }
-                Item::Ack { seq, ece } => sender.on_ack(seq, ece, None, now, &mut ids),
+                Item::Ack { seq, ece, ts_echo } => sender.on_ack(seq, ece, ts_echo, now, &mut ids),
                 Item::Timer(gen) => sender.on_rto(gen, now, &mut ids, 0, &mut Tracer::off()),
             };
             push_pkts(out, &mut heap, now, &mut tick, &mut data_idx);

@@ -47,13 +47,19 @@ if [[ $quick -eq 0 ]]; then
         echo "    every perfbench simulation correct, none failed"
         echo "==> simtest --smoke (64-seed fault-injection soak)"
         cargo run -q -p dibs-harness --release --offline --bin simtest -- --smoke
-        echo "==> trace smoke (traced incast: valid Chrome JSON, digest unchanged under all and flight:64)"
+        echo "==> trace smoke (traced incast under all three schemes: valid Chrome JSON, digests unchanged under all and flight:64)"
         tmp=$(mktemp -d)
         trap 'rm -rf "$tmp"' EXIT
+        # --compare runs dctcp, dctcp_dibs and pfabric; pFabric's probe-mode
+        # timeouts emit their own trace events.
         cargo run -q -p dibs-cli --release --offline --bin dibs-sim -- \
-            --digest scenarios/incast.json | grep '^digest' >"$tmp/untraced"
+            --digest --compare scenarios/incast.json | grep '^digest' >"$tmp/untraced"
+        if [[ $(wc -l <"$tmp/untraced") -ne 3 ]]; then
+            echo "FAIL: --compare did not print three digests" >&2
+            exit 1
+        fi
         cargo run -q -p dibs-cli --release --offline --bin dibs-sim -- \
-            --digest --trace all scenarios/incast.json | grep '^digest' >"$tmp/traced"
+            --digest --compare --trace all scenarios/incast.json | grep '^digest' >"$tmp/traced"
         if ! diff -u "$tmp/untraced" "$tmp/traced"; then
             echo "FAIL: tracing perturbed the run digest" >&2
             exit 1
@@ -61,23 +67,25 @@ if [[ $quick -eq 0 ]]; then
         # dibs-sim only writes the file after its Chrome JSON re-parses
         # through dibs-json, so existence means the exporter validated it;
         # when python3 is around, cross-check with an independent parser.
-        chrome=results/trace_incast_dctcpdibs.json
-        if [[ ! -f "$chrome" ]]; then
-            echo "FAIL: traced run did not export $chrome" >&2
-            exit 1
-        fi
-        if command -v python3 >/dev/null; then
-            python3 -m json.tool "$chrome" >/dev/null
-        fi
+        for scheme in dctcp dctcpdibs pfabric; do
+            chrome=results/trace_incast_$scheme.json
+            if [[ ! -f "$chrome" ]]; then
+                echo "FAIL: traced run did not export $chrome" >&2
+                exit 1
+            fi
+            if command -v python3 >/dev/null; then
+                python3 -m json.tool "$chrome" >/dev/null
+            fi
+        done
         # The flight ring is the same tracer with a bounded capacity: it
         # must leave the digest alone too.
         cargo run -q -p dibs-cli --release --offline --bin dibs-sim -- \
-            --digest --trace flight:64 scenarios/incast.json | grep '^digest' >"$tmp/flight"
+            --digest --compare --trace flight:64 scenarios/incast.json | grep '^digest' >"$tmp/flight"
         if ! diff -u "$tmp/untraced" "$tmp/flight"; then
             echo "FAIL: the flight recorder perturbed the run digest" >&2
             exit 1
         fi
-        echo "    digest identical traced (all, flight:64) vs untraced; Chrome JSON valid"
+        echo "    three digests identical traced (all, flight:64) vs untraced; Chrome JSON valid"
         # Both exit non-zero when the trace yields no detoured delivery.
         echo "==> Fig 1 from the trace (fig01_detour_path, detour_trace example)"
         DIBS_RESULTS_DIR="$tmp" cargo run -q -p dibs-bench --release --offline \

@@ -59,6 +59,22 @@ fn golden_testbed_incast() {
     );
 }
 
+/// Fig 6 family with DCTCP delayed acks (one ack per two in-order
+/// packets): the receiver's coalescing state machine picks which send time
+/// each ack echoes, and the sender's RTT samples come only from echoes.
+#[test]
+fn golden_delayed_ack_testbed_incast() {
+    let d = RunDescriptor::new("golden_testbed_incast", "dibs", 5, 0);
+    let mut cfg = SimConfig::dctcp_dibs().with_seed(d.seed(MASTER_SEED));
+    cfg.tcp.ack_every = 2;
+    let results = testbed_incast_sim(cfg, 5, 4, 32_000).run();
+    check(
+        "delayed_ack_testbed_incast",
+        &RunDigest::of(&results),
+        GOLDEN_DELAYED_ACK,
+    );
+}
+
 /// Fig 7/12 family: one small-buffer sweep point (25-packet buffers).
 #[test]
 fn golden_buffer_sweep_point() {
@@ -236,6 +252,7 @@ fn golden_trace_dump() {
 const GOLDEN_TESTBED_INCAST: u64 = 0xdf96_3f56_11fe_1ffb;
 const GOLDEN_BUFFER_SWEEP: u64 = 0x00ca_e3df_8442_959d;
 const GOLDEN_TTL_SWEEP: u64 = 0x177c_befd_1697_2573;
+const GOLDEN_DELAYED_ACK: u64 = 0x191f_3516_afbd_b8f8;
 
 // Fault-scenario pins: a deliberate fault-injection change moves these
 // three without touching the fault-free pins above.
