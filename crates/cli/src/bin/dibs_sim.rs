@@ -7,7 +7,7 @@
 //!   --json          emit a JSON report instead of text
 //!   --compare       run each scenario under dctcp, dctcp_dibs, and pfabric
 //!                   (a scenario that sets a `dibs_policy` other than
-//!                   `disabled` fails on the pfabric run)
+//!                   `disabled` fails on its pfabric arm before any run)
 //!   --seed <N>      override the scenarios' seed
 //!   --jobs <N>      worker threads for independent runs (default: all cores)
 //!   --trace <SPEC>  capture an event trace; SPEC is `off`, `all`, a kind
@@ -131,8 +131,9 @@ fn main() -> ExitCode {
         }
     };
 
-    // Parse every scenario up front so bad input fails before any run.
-    let mut runs: Vec<(String, Scenario, Scheme)> = Vec::new();
+    // Parse every scenario and resolve each of its arms up front, so bad
+    // input fails before any run prints.
+    let mut runs: Vec<(String, Scenario)> = Vec::new();
     for path in &paths {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
@@ -157,14 +158,20 @@ fn main() -> ExitCode {
             vec![scenario.scheme]
         };
         for scheme in schemes {
-            runs.push((path.clone(), scenario.clone(), scheme));
+            let mut arm = scenario.clone();
+            arm.scheme = scheme;
+            if let Err(e) = arm.sim_config() {
+                eprintln!("{path}: {e}");
+                return ExitCode::FAILURE;
+            }
+            runs.push((path.clone(), arm));
         }
     }
 
     // Each (file, scheme) run is independent; fan out and report in input
     // order.
-    let outcomes = Executor::new(jobs).map(runs, move |(path, mut scenario, scheme)| {
-        scenario.scheme = scheme;
+    let outcomes = Executor::new(jobs).map(runs, move |(path, scenario)| {
+        let scheme = scenario.scheme;
         let mut sim = match scenario.build() {
             Ok(sim) => sim,
             Err(e) => return (path, scheme, Err(e)),

@@ -458,13 +458,18 @@ impl Simulation {
 
     /// Packet conservation: every injected packet is delivered, dropped,
     /// or still in the packet store. Runs before `finalize` folds the
-    /// switches' displacement counts into `counters`, so it adds them here.
+    /// switches' buffer-drop and displacement counts into `counters`, so
+    /// it adds them here.
     fn conservation_check(&self) {
-        let displaced: u64 = self.switches.iter().map(|s| s.counters().displaced).sum();
+        let switch_drops: u64 = self
+            .switches
+            .iter()
+            .map(|s| s.counters().dropped_full + s.counters().displaced)
+            .sum();
         AuditLedger::check(&LedgerSnapshot {
             sent: self.counters.packets_sent,
             delivered: self.counters.packets_delivered,
-            dropped: self.counters.total_drops() + displaced,
+            dropped: self.counters.total_drops() + switch_drops,
             in_flight: self.store.live(),
         });
     }
@@ -814,6 +819,7 @@ impl Simulation {
         }
     }
 
+    #[inline]
     fn on_switch_arrive(&mut self, node: NodeId, r: PktRef) {
         let si = self.topo.as_switch(node).expect("switch node").index();
         if self.fault_crashed(node) {
@@ -848,6 +854,7 @@ impl Simulation {
     }
 
     /// FIB lookup + egress admission (the §2 data path).
+    #[inline]
     fn route_and_enqueue(&mut self, node: NodeId, si: usize, r: PktRef) {
         if self.fault_should_drop(r) {
             self.counters.drops_fault += 1;
@@ -902,8 +909,7 @@ impl Simulation {
                 self.kick(node, port);
             }
             EnqueueOutcome::Dropped(_) => {
-                // The switch already traced the drop.
-                self.counters.drops_buffer += 1;
+                // The switch already traced and counted the drop.
                 self.store.release(r);
             }
         }
@@ -916,6 +922,7 @@ impl Simulation {
     /// The one transmit path: starts the next frame on `node`'s `port`
     /// unless the port is busy, paused, or on a downed link. A host sends
     /// the head of its FIFO; a switch dequeues from its egress queue.
+    #[inline]
     fn kick(&mut self, node: NodeId, port: usize) {
         let pi = self.port_index(node, port);
         let state = &self.ports[pi];
@@ -944,6 +951,7 @@ impl Simulation {
     /// Takes the next frame a switch sends on `port`. Frames the fault plan
     /// corrupts on the wire are discarded here and the next one is tried;
     /// each frame that leaves the buffer frees its PFC ingress slot.
+    #[inline]
     fn switch_dequeue(&mut self, node: NodeId, si: usize, port: usize) -> Option<PktRef> {
         let now_ns = self.engine.now().as_nanos();
         loop {
@@ -1015,6 +1023,7 @@ impl Simulation {
         );
     }
 
+    #[inline]
     fn on_tx_complete(&mut self, node: NodeId, port: usize, pkt: PktRef) {
         let pi = self.port_index(node, port);
         self.ports[pi].busy = false;
@@ -1128,6 +1137,7 @@ impl Simulation {
             let c = sw.counters();
             self.counters.ecn_marks += c.marked;
             self.counters.detours += c.detoured;
+            self.counters.drops_buffer += c.dropped_full;
             self.counters.drops_displaced += c.displaced;
             detours_per_switch.push(c.detoured);
         }

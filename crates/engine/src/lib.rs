@@ -103,6 +103,7 @@ impl<E> Engine<E> {
     ///
     /// Events a recurring delay apart share a FIFO lane of the queue (see
     /// [`EventQueue::push_after`]), the cheapest way to schedule.
+    #[inline]
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.queue.push_after(self.now, delay, event);
         self.note_pending();
@@ -120,6 +121,7 @@ impl<E> Engine<E> {
     ///
     /// Returns `None` when the queue is empty or the next event lies beyond
     /// the horizon (the clock is then parked at the horizon).
+    #[inline]
     pub fn next_event(&mut self) -> Option<E> {
         match self.queue.pop_at_or_before(self.horizon) {
             Some((t, ev)) => {

@@ -182,6 +182,8 @@ impl<E> EventQueue<E> {
     /// Schedules `event` to fire `delay` after `now`: the same order as
     /// `push(now + delay, event)`, filed in the lane for `delay` when one
     /// accepts it.
+    // Plain `#[inline]` leaves it out of line in the simulator's dispatch loop.
+    #[inline(always)]
     pub fn push_after(&mut self, now: SimTime, delay: SimDuration, event: E) {
         let time = now + delay;
         let (t, d) = (time.as_nanos(), delay.as_nanos());
@@ -220,6 +222,7 @@ impl<E> EventQueue<E> {
     ///
     /// One head scan instead of the `peek_time` + `pop` pair, which is
     /// what the engine's dispatch loop runs per event.
+    #[inline]
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         self.pop_impl(horizon.as_nanos())
     }
@@ -238,6 +241,7 @@ impl<E> EventQueue<E> {
         (src, head)
     }
 
+    #[inline]
     fn pop_impl(&mut self, horizon: u64) -> Option<(SimTime, E)> {
         let (src, head) = self.head();
         if self.len == 0 || unpack(head).0.as_nanos() > horizon {

@@ -153,6 +153,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `rate_bps` is zero.
+    #[inline]
     pub fn serialization(bytes: u64, rate_bps: u64) -> Self {
         assert!(rate_bps > 0, "link rate must be positive");
         // ns = bits * 1e9 / rate. Every real frame (bytes < ~2.3e9) fits

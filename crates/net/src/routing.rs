@@ -184,6 +184,7 @@ impl Fib {
     ///
     /// Behaviorally identical to `select_port` (flow-level ECMP is a pure
     /// function of the key), so memoization never perturbs a run.
+    #[inline]
     pub fn select_port_memo(
         &self,
         memo: &mut EcmpMemo,
@@ -320,6 +321,7 @@ impl EcmpMemo {
     /// Returns the cached value for `(flow, node, dst)`, computing and
     /// caching it on a miss (or on a direct-mapped collision, which simply
     /// evicts the previous occupant).
+    #[inline]
     pub fn get_or_insert_with(
         &mut self,
         flow: FlowId,

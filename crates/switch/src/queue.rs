@@ -88,12 +88,14 @@ impl PortQueue {
     }
 
     /// Appends a packet (admission control happens in the switch, not here).
+    #[inline]
     pub fn push(&mut self, entry: QueueEntry) {
         self.bytes += u64::from(entry.wire_bytes);
         self.entries.push_back(entry);
     }
 
     /// Removes the next packet to transmit according to the discipline.
+    #[inline]
     pub fn pop(&mut self) -> Option<QueueEntry> {
         let entry = match self.discipline {
             Discipline::Fifo => self.entries.pop_front()?,

@@ -254,6 +254,7 @@ impl SwitchCore {
     /// simulated time `t_ns` and the port's depth after the transition; a
     /// kind the tracer does not capture costs one branch per transition,
     /// and untraced callers pass `&mut Tracer::off()`.
+    #[inline]
     pub fn enqueue(
         &mut self,
         store: &mut PacketStore,
@@ -305,6 +306,7 @@ impl SwitchCore {
     /// Removes the next packet to transmit from `port` and returns its
     /// handle. The `Dequeue` trace event carries the port's depth after
     /// the pop.
+    #[inline]
     pub fn dequeue(
         &mut self,
         store: &PacketStore,
@@ -375,6 +377,7 @@ impl SwitchCore {
 
     /// Queues the packet behind `r` on `port`: on its desired port, or as
     /// a detour (which bumps its detour count and may CE-mark it, §5.3).
+    #[inline]
     fn admit(
         &mut self,
         store: &mut PacketStore,
@@ -438,6 +441,7 @@ impl SwitchCore {
         }
     }
 
+    #[inline]
     fn maybe_mark(
         &mut self,
         pkt: &mut Packet,

@@ -45,6 +45,32 @@ if [[ $quick -eq 0 ]]; then
             exit 1
         fi
         echo "    every perfbench simulation correct, none failed"
+        echo "==> perfbench per-event path compiled into the dispatch loop (nm)"
+        # perfbench builds with Cargo's default release profile (16 codegen
+        # units, no LTO), where a cross-crate call that lacks #[inline] stays
+        # a call per event (DESIGN.md §2c). Simulation::kick has four call
+        # sites and may stay out of line.
+        symbols=$(nm -C --defined-only .bench_build/release/dibs-perfbench)
+        if ! grep -q '[: ]Simulation::run$' <<<"$symbols"; then
+            echo "FAIL: no Simulation::run symbol in dibs-perfbench; cannot check inlining" >&2
+            exit 1
+        fi
+        out_of_line=()
+        for f in Engine::next_event Engine::schedule_in EventQueue::pop_at_or_before \
+            EventQueue::pop_impl EventQueue::push_after SimDuration::serialization \
+            Fib::select_port_memo EcmpMemo::get_or_insert_with SwitchCore::enqueue \
+            SwitchCore::admit SwitchCore::maybe_mark SwitchCore::dequeue PortQueue::push \
+            PortQueue::pop Simulation::on_switch_arrive Simulation::route_and_enqueue \
+            Simulation::switch_dequeue Simulation::on_tx_complete; do
+            if grep -Eq "[: ]${f%%::*}(<[^>]*>)?::${f#*::}(\$|[^A-Za-z0-9_])" <<<"$symbols"; then
+                out_of_line+=("$f")
+            fi
+        done
+        if [[ ${#out_of_line[@]} -gt 0 ]]; then
+            echo "FAIL: defined out of line in dibs-perfbench: ${out_of_line[*]}" >&2
+            exit 1
+        fi
+        echo "    every per-event function but Simulation::kick inlined"
         echo "==> simtest --smoke (64-seed fault-injection soak)"
         cargo run -q -p dibs-harness --release --offline --bin simtest -- --smoke
         echo "==> trace smoke (traced incast under all three schemes: valid Chrome JSON, digests unchanged under all and flight:64)"

@@ -121,3 +121,28 @@ fn packet_lifecycle_reconstructs_a_detoured_packet() {
     let loopers = detour_loop_packets(events);
     assert!(loopers.iter().all(|p| detoured.contains(p)));
 }
+
+/// Each switch buffer drop is counted once: the traced `Drop` events at
+/// switches and the run's `drops_buffer` agree, on a droptail incast whose
+/// 25-packet buffers overflow.
+#[test]
+fn switch_drop_events_match_the_buffer_drop_count() {
+    let mut cfg = SimConfig::dctcp_baseline();
+    cfg.switch.buffer = BufferConfig::StaticPerPort { packets: 25 };
+    let mut sim = single_incast_sim(params(), cfg, 8, 20_000);
+    let spec: TraceSpec = "drop".parse().expect("valid spec");
+    sim.set_tracer(Tracer::from_spec(&spec));
+    let topo = fat_tree(params());
+    let results = sim.run();
+    let report = results.trace.as_ref().expect("tracer was installed");
+    let switch_drops = report
+        .events
+        .iter()
+        .filter(|e| e.kind == TraceKind::Drop && topo.as_switch(NodeId(e.node)).is_some())
+        .count();
+    assert_eq!(
+        u64::try_from(switch_drops).expect("count fits u64"),
+        results.counters.drops_buffer
+    );
+    assert!(switch_drops > 0, "25-packet droptail buffers must drop");
+}
