@@ -1,15 +1,15 @@
 #![warn(missing_docs)]
 
-//! Shared harness for the figure binaries and the sweep table.
+//! Shared harness for the experiment table.
 //!
-//! `fig01`–`fig06` are binaries of their own; every parameter sweep
-//! (Figs 7–16, §5.5–§5.6, and the §6/§7 ablations) is a row of the
-//! [`sweep`] table, run as `sweep <id>`. Each one runs its simulations
-//! (in parallel when cores allow), assembles an [`ExperimentRecord`],
-//! prints it as an aligned table, and persists it as JSON under
-//! `results/`.
+//! Every figure and table of the evaluation (Figs 1–16, §5.5–§5.6, and
+//! the §6/§7 ablations) is a row of the [`sweep`] table, run as
+//! `sweep <id>`; `repro_all` runs every row. Each row runs its
+//! simulations (in parallel when cores allow), assembles an
+//! [`ExperimentRecord`], prints it as an aligned table, and persists it as
+//! JSON under `results/`.
 //!
-//! All binaries accept `--quick` (shorter traffic windows, for smoke runs)
+//! Both binaries accept `--quick` (shorter traffic windows, for smoke runs)
 //! and `--full` (paper-length windows); the default sits in between so the
 //! whole suite finishes in tens of minutes on one core. The scale can also
 //! be set via the `DIBS_SCALE` environment variable (`quick`, `default`,
@@ -72,7 +72,7 @@ impl Scale {
     }
 }
 
-/// Execution context shared by all figure binaries.
+/// Execution context of one `sweep` run.
 #[derive(Debug, Clone)]
 pub struct Harness {
     /// Chosen scale.
@@ -88,24 +88,11 @@ pub struct Harness {
     pub trace: Option<dibs::TraceSpec>,
 }
 
-impl Default for Harness {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 impl Harness {
-    /// Builds a harness from argv and the environment (see
-    /// [`Harness::parse`]). A malformed value is reported and the process
-    /// exits with status 2 rather than running with a default the user
-    /// did not ask for.
-    pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Harness::from_args(&args)
-    }
-
-    /// [`Harness::from_env`] over `args` instead of argv, for binaries
-    /// that take a positional argument first (`sweep <id>`).
+    /// Builds a harness from `args` (the flags after `sweep <id>`) and
+    /// the environment (see [`Harness::parse`]). A malformed value is
+    /// reported and the process exits with status 2 rather than running
+    /// with a default the user did not ask for.
     pub fn from_args(args: &[String]) -> Self {
         match Harness::parse(args, |key| std::env::var(key).ok()) {
             Ok(h) => {
@@ -127,7 +114,7 @@ impl Harness {
     ///
     /// A malformed seed, scale, worker count, or trace spec, or a flag
     /// missing its value, is an error. Unknown arguments only warn, because
-    /// `repro_all` forwards its own argv to every binary.
+    /// `repro_all` forwards its own argv to every row.
     pub fn parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Harness, String> {
         let env = |key: &str| env(key).filter(|v| !v.trim().is_empty());
         let mut args = args.to_vec();
@@ -187,10 +174,10 @@ impl Harness {
     }
 
     /// The tracer requested via `--trace` / `DIBS_TRACE`, falling back to
-    /// `default` when neither was given (binaries with their own trace
-    /// needs, like `fig02_detour_timeline`, pass a non-`off` default).
-    /// A user spec was validated by [`Harness::parse`]; `default` is the
-    /// binary's own literal and must parse.
+    /// `default` when neither was given (the capture a row such as
+    /// `fig02_detour_timeline` needs). A user spec was validated by
+    /// [`Harness::parse`]; `default` is the table's own literal and must
+    /// parse.
     pub fn tracer_or(&self, default: &str) -> dibs::Tracer {
         let spec = self.trace.unwrap_or_else(|| {
             default
@@ -201,8 +188,8 @@ impl Harness {
     }
 
     /// Writes a captured trace as Chrome-viewable JSON next to the
-    /// records, but only when the user explicitly asked to trace (a
-    /// binary's own default tracer stays internal).
+    /// records, but only when the user explicitly asked to trace (a row's
+    /// own default tracer stays internal).
     pub fn export_trace(&self, id: &str, results: &RunResults) {
         let (Some(_), Some(trace)) = (&self.trace, &results.trace) else {
             return;
@@ -237,7 +224,7 @@ impl Harness {
             eprintln!("warning: cannot write {}: {e}", svg_path.display());
         }
         // Cumulative simulation throughput for this process so far;
-        // `repro_all` surfaces the final line per figure binary.
+        // `repro_all` surfaces the final line per row.
         if let Some(line) = timing::meter_summary() {
             println!("{line}");
         }

@@ -1,9 +1,9 @@
-//! A process-wide simulation throughput meter for the figure binaries.
+//! A process-wide simulation throughput meter for `sweep` runs.
 //!
 //! Finished simulation runs are credited to the meter ([`note_run`]), and
 //! [`Harness::finish`](crate::Harness::finish) prints its events/sec +
 //! packets/sec summary as each record's `throughput:` line, which
-//! `repro_all` collects per binary.
+//! `repro_all` collects per row.
 
 use dibs::RunResults;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +31,7 @@ fn meter_epoch() -> Instant {
 }
 
 /// Starts the wall-time epoch for [`meter_summary`]. Called by
-/// `Harness::from_env`; idempotent.
+/// `Harness::from_args`; idempotent.
 pub fn meter_start() {
     let _ = meter_epoch();
 }

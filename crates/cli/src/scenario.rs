@@ -22,8 +22,9 @@
 //! queries come from the same `workload/background` and `workload/query`
 //! streams ([`dibs::presets::traffic_rngs`]) the presets draw from. A
 //! scenario therefore holds at most one `background` and one `query`
-//! workload. One with `long_lived` flows measures their goodput after a
-//! warmup of the first quarter of its horizon.
+//! workload; target-less incasts share one stream too
+//! ([`WorkloadSpec::Incast`]). One with `long_lived` flows measures their
+//! goodput after a warmup of the first quarter of its horizon.
 
 use dibs_engine::rng::SimRng;
 use dibs_engine::time::{SimDuration, SimTime};
@@ -56,6 +57,9 @@ pub struct Scenario {
     pub duration_ms: u64,
     /// Drain time after the generation window, in milliseconds.
     pub drain_ms: u64,
+    /// Link-utilization and neighbor-buffer sampling period in
+    /// milliseconds (default: no sampling).
+    pub sample_interval_ms: Option<u64>,
     /// Traffic to offer.
     pub workloads: Vec<WorkloadSpec>,
 }
@@ -70,6 +74,7 @@ impl FromJson for Scenario {
             overrides: r.optional("overrides", Overrides::default())?,
             duration_ms: r.optional("duration_ms", 400)?,
             drain_ms: r.optional("drain_ms", 600)?,
+            sample_interval_ms: r.optional("sample_interval_ms", None)?,
             workloads: r.required("workloads")?,
         };
         r.deny_unknown()?;
@@ -441,11 +446,17 @@ pub enum WorkloadSpec {
         /// Bytes per response.
         response_bytes: u64,
     },
-    /// One explicit incast at a fixed time.
+    /// One incast at a fixed time.
     Incast {
-        /// Target host index.
-        target: u32,
-        /// Number of responders (round-robin over other hosts; may repeat).
+        /// Target host index. With a target, responders cycle round-robin
+        /// over the other hosts (repeating once `degree` exceeds them).
+        /// Without one, the target and `degree` distinct responders are
+        /// drawn from the seed's `workload/single-incast` stream
+        /// ([`dibs::presets::random_incast`]); all target-less incasts draw
+        /// from that one stream in workload order, so the first matches
+        /// [`dibs::presets::single_incast_sim`].
+        target: Option<u32>,
+        /// Number of responders.
         degree: usize,
         /// Bytes per response.
         response_bytes: u64,
@@ -484,7 +495,7 @@ impl FromJson for WorkloadSpec {
                 response_bytes: r.required("response_bytes")?,
             },
             "incast" => WorkloadSpec::Incast {
-                target: r.required("target")?,
+                target: r.optional("target", None)?,
                 degree: r.required("degree")?,
                 response_bytes: r.required("response_bytes")?,
                 at_ms: r.optional("at_ms", 0)?,
@@ -548,7 +559,9 @@ impl Scenario {
     /// rate whose mean gap is not positive and finite, a second
     /// `background` or `query` workload, workloads expected to generate
     /// more than 2^20 flows in total (checked from the parameters, before
-    /// anything is generated), and a detour policy under `pfabric`.
+    /// anything is generated), a target-less incast whose degree is not
+    /// below the host count, a sampling period of 0 ms, and a detour policy
+    /// under `pfabric`.
     pub fn sim_config(&self) -> Result<dibs::SimConfig, ScenarioError> {
         let too_long = |field: &str, ms: u64| {
             if ms > MAX_MS {
@@ -561,8 +574,15 @@ impl Scenario {
         };
         let total_ms = self.duration_ms.saturating_add(self.drain_ms);
         too_long("duration_ms + drain_ms", total_ms)?;
+        if self.sample_interval_ms == Some(0) {
+            return Err(ScenarioError(
+                "sample_interval_ms must be at least 1 ms".into(),
+            ));
+        }
+        too_long("sample_interval_ms", self.sample_interval_ms.unwrap_or(0))?;
         let (mut backgrounds, mut queries, mut long_lived) = (0, 0, false);
-        let hosts = self.topology.switches_and_hosts().1 as f64;
+        let host_count = self.topology.switches_and_hosts().1;
+        let hosts = host_count as f64;
         let duration_ms = self.duration_ms as f64;
         let mut expected_flows = 0.0;
         for wl in &self.workloads {
@@ -594,8 +614,19 @@ impl Scenario {
                     let per_query = degree.max(1) as f64;
                     ("query qps", qps * duration_ms / 1000.0 * per_query)
                 }
-                WorkloadSpec::Incast { at_ms, degree, .. } => {
+                WorkloadSpec::Incast {
+                    target,
+                    at_ms,
+                    degree,
+                    ..
+                } => {
                     too_long("at_ms", at_ms)?;
+                    if target.is_none() && degree as u128 >= host_count {
+                        return Err(ScenarioError(format!(
+                            "incast degree {degree} without a target needs more than \
+                             {host_count} hosts"
+                        )));
+                    }
                     ("incast degree", degree as f64)
                 }
                 WorkloadSpec::LongLived { flows_per_pair } => {
@@ -632,6 +663,7 @@ impl Scenario {
         };
         cfg.seed = self.seed;
         cfg.horizon = self.horizon();
+        cfg.sample_interval = self.sample_interval_ms.map(SimDuration::from_millis);
         // Long-lived flows start together; their goodput is measured past
         // that transient (§5.6).
         if long_lived {
@@ -715,6 +747,7 @@ impl Scenario {
         let mut sim = dibs::Simulation::new(topo, cfg);
         let duration = SimDuration::from_millis(self.duration_ms);
         let (mut bg_rng, mut q_rng) = dibs::presets::traffic_rngs(self.seed);
+        let mut incast_rng = dibs::presets::incast_rng(self.seed);
         for wl in &self.workloads {
             match *wl {
                 WorkloadSpec::Background { interarrival_ms } => {
@@ -747,16 +780,17 @@ impl Scenario {
                     response_bytes,
                     at_ms,
                 } => {
-                    if target as usize >= hosts {
-                        return Err(ScenarioError(format!(
-                            "incast target {target} out of range"
-                        )));
-                    }
-                    let target = HostId(target);
+                    let (target, responders) = match target {
+                        None => dibs::presets::random_incast(&mut incast_rng, hosts, degree),
+                        Some(t) if t as usize >= hosts => {
+                            return Err(ScenarioError(format!("incast target {t} out of range")));
+                        }
+                        Some(t) => (HostId(t), round_robin_responders(hosts, HostId(t), degree)),
+                    };
                     sim.add_queries(&[QuerySpec {
                         start: SimTime::from_millis(at_ms),
                         target,
-                        responders: round_robin_responders(hosts, target, degree),
+                        responders,
                         response_bytes,
                     }]);
                 }
@@ -1078,6 +1112,102 @@ mod tests {
             ..s
         };
         assert_eq!(short.sim_config().unwrap().throughput_warmup, None);
+    }
+
+    #[test]
+    fn sample_interval_must_be_positive_and_fit_the_clock() {
+        let with = |ms: &str| {
+            Scenario::from_json(&format!(
+                r#"{{ "topology": {{ "type": "single_switch", "hosts": 4 }},
+                     "sample_interval_ms": {ms}, "workloads": [] }}"#
+            ))
+            .unwrap()
+            .sim_config()
+        };
+        let err = with("0").unwrap_err();
+        assert!(
+            err.0.contains("sample_interval_ms must be at least 1 ms"),
+            "{err}"
+        );
+        let err = with(&(MAX_MS + 1).to_string()).unwrap_err();
+        assert!(
+            err.0.contains("sample_interval_ms must be at most"),
+            "{err}"
+        );
+        let cfg = with("1").unwrap();
+        assert_eq!(cfg.sample_interval, Some(SimDuration::from_millis(1)));
+        let unsampled = Scenario::from_json(
+            r#"{ "topology": { "type": "single_switch", "hosts": 4 }, "workloads": [] }"#,
+        )
+        .unwrap();
+        assert_eq!(unsampled.sim_config().unwrap().sample_interval, None);
+    }
+
+    #[test]
+    fn a_targetless_incast_needs_more_hosts_than_its_degree() {
+        let incast = |degree: usize| {
+            Scenario::from_json(&format!(
+                r#"{{ "topology": {{ "type": "single_switch", "hosts": 4 }},
+                     "workloads": [ {{ "type": "incast", "degree": {degree},
+                                      "response_bytes": 1000 }} ] }}"#
+            ))
+            .unwrap()
+        };
+        for degree in [4, 5, usize::MAX] {
+            let s = incast(degree);
+            let err = s.sim_config().unwrap_err();
+            assert!(
+                err.0.contains("without a target needs more than 4 hosts"),
+                "{err}"
+            );
+            assert!(s.build().is_err(), "degree {degree}");
+        }
+        // With a target, responders repeat round-robin instead.
+        let targeted = Scenario::from_json(
+            r#"{ "topology": { "type": "single_switch", "hosts": 4 },
+                 "workloads": [ { "type": "incast", "target": 0, "degree": 9,
+                                  "response_bytes": 1000 } ] }"#,
+        )
+        .unwrap();
+        assert!(targeted.build().is_ok());
+        assert!(incast(3).build().is_ok());
+    }
+
+    #[test]
+    fn targetless_incasts_draw_from_one_stream_in_workload_order() {
+        let two = Scenario::from_json(
+            r#"{ "seed": 3, "topology": { "type": "single_switch", "hosts": 16 },
+                 "duration_ms": 0, "drain_ms": 100,
+                 "workloads": [
+                     { "type": "incast", "degree": 5, "response_bytes": 1000 },
+                     { "type": "incast", "degree": 5, "response_bytes": 1000, "at_ms": 1 }
+                 ] }"#,
+        )
+        .unwrap();
+        // The same two draws, in order, from the one `workload/single-incast`
+        // stream, added to the same simulation by hand.
+        let mut rng = dibs::presets::incast_rng(3);
+        let queries: Vec<QuerySpec> = [0, 1]
+            .map(|at_ms| {
+                let (target, responders) = dibs::presets::random_incast(&mut rng, 16, 5);
+                QuerySpec {
+                    start: SimTime::from_millis(at_ms),
+                    target,
+                    responders,
+                    response_bytes: 1000,
+                }
+            })
+            .into();
+        assert_ne!(queries[0].responders, queries[1].responders);
+        let mut by_hand = dibs::Simulation::new(
+            single_switch(16, LinkSpec::gbit(1)),
+            two.sim_config().unwrap(),
+        );
+        by_hand.add_queries(&queries);
+        assert_eq!(
+            dibs::RunDigest::of(&two.build().unwrap().run()),
+            dibs::RunDigest::of(&by_hand.run())
+        );
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //!
 //! Mutated copies of `scenarios/*.json` and of [`TIMED`] go through
 //! `Scenario::from_json`, `Scenario::sim_config` (which rejects every time
-//! field past the nanosecond clock, every traffic rate with no finite,
-//! positive mean gap and traffic expected to exceed its flow budget) and
+//! field past the nanosecond clock, a sampling period of 0, every traffic
+//! rate with no finite, positive mean gap, a target-less incast with no
+//! fewer hosts than responders and traffic expected to exceed its flow
+//! budget) and
 //! `TopologySpec::check` (which
 //! rejects a shape too large to build, from its parameters alone);
 //! mutated `--fault` and `--trace` strings go through `FaultSpec::parse`
@@ -131,17 +133,21 @@ fn read_scenario(text: &str) -> bool {
 
 /// A seed input with every time field a scenario has, each at the
 /// largest value the nanosecond clock holds, so that mutations land on
-/// both sides of the limit; `scenarios/*.json` has no `at_ms` or
-/// `min_rto_us`. (JSON numbers are `f64`s: 18446744073709548 is the
-/// largest one at or below `u64::MAX / 1000`.)
+/// both sides of the limit; `scenarios/*.json` has no `at_ms`,
+/// `min_rto_us` or `sample_interval_ms`. Its target-less incast has one
+/// responder fewer than the testbed has hosts, the most it may draw.
+/// (JSON numbers are `f64`s: 18446744073709548 is the largest one at or
+/// below `u64::MAX / 1000`.)
 const TIMED: &str = r#"{
   "topology": { "type": "mini_testbed" },
   "overrides": { "min_rto_us": 18446744073709548 },
   "duration_ms": 18446744073709,
   "drain_ms": 0,
+  "sample_interval_ms": 18446744073709,
   "workloads": [
     { "type": "background", "interarrival_ms": 18446744073709 },
     { "type": "incast", "target": 0, "degree": 1, "response_bytes": 1, "at_ms": 18446744073709 },
+    { "type": "incast", "degree": 5, "response_bytes": 1, "at_ms": 18446744073709 },
     { "type": "flow", "src": 0, "dst": 1, "bytes": 1, "at_ms": 18446744073709 }
   ]
 }"#;
@@ -202,6 +208,10 @@ fn mutated_scenarios_never_panic() {
         (
             "min_rto_us",
             r#""overrides": { "min_rto_us": 18446744073709552 }, "workloads": []"#,
+        ),
+        (
+            "sample_interval_ms",
+            r#""sample_interval_ms": 18446744073710, "workloads": []"#,
         ),
     ] {
         let text = format!(r#"{{ "topology": {{ "type": "mini_testbed" }}, {fields} }}"#);
@@ -273,6 +283,25 @@ fn mutated_scenarios_never_panic() {
                 .contains(&format!("{field}: the workloads would generate")),
             "{text}: {err}"
         );
+        no_panic("Scenario::build", &text, || assert!(s.build().is_err()));
+    }
+    // Fixed cases: a sampling period of 0 never re-armed the sampler and
+    // was silently ignored, and a target-less incast with no fewer hosts
+    // than responders panicked drawing distinct responders.
+    for (problem, fields) in [
+        (
+            "sample_interval_ms must be at least 1 ms",
+            r#""sample_interval_ms": 0, "workloads": []"#,
+        ),
+        (
+            "incast degree 6 without a target needs more than 6 hosts",
+            r#""workloads": [{ "type": "incast", "degree": 6, "response_bytes": 1 }]"#,
+        ),
+    ] {
+        let text = format!(r#"{{ "topology": {{ "type": "mini_testbed" }}, {fields} }}"#);
+        let s = Scenario::from_json(&text).expect("well-formed scenario");
+        let err = s.sim_config().expect_err("the input is rejected");
+        assert!(err.0.contains(problem), "{text}: {err}");
         no_panic("Scenario::build", &text, || assert!(s.build().is_err()));
     }
     // The largest times the clock holds are accepted.

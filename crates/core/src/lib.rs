@@ -17,7 +17,8 @@
 //!   workloads, metrics.
 //! * [`SimConfig`] — Table 1/2 of the paper as data, with presets for
 //!   DCTCP-baseline, DCTCP+DIBS, and pFabric.
-//! * [`presets`] — the §5.2/§5.3 experiment setups used by every figure.
+//! * [`presets`] — the §5.2/§5.3 experiment setups the benchmark and the
+//!   tests build on.
 //!
 //! ## Quick start
 //!

@@ -1,10 +1,11 @@
 //! Canonical experiment setups from the paper's evaluation.
 //!
-//! The figure binaries of `dibs-bench` and the benchmark build on these:
-//! the K=8 fat-tree mixed workload of §5.3 (background +
+//! The benchmark, the golden digests and the integration tests build on
+//! these: the K=8 fat-tree mixed workload of §5.3 (background +
 //! partition-aggregate queries), the §5.2 Click-testbed incast and the
-//! Fig 1/2 single incast. The sweep rows declare theirs as `dibs-cli`
-//! scenarios, which draw traffic from the same [`traffic_rngs`].
+//! Fig 1/2 single incast. Every row of `dibs-bench`'s table declares its
+//! runs as `dibs-cli` scenarios, which draw traffic from the same
+//! [`traffic_rngs`] and [`incast_rng`] streams.
 
 use crate::config::SimConfig;
 use crate::sim::Simulation;
@@ -13,7 +14,7 @@ use dibs_engine::time::{SimDuration, SimTime};
 use dibs_net::builders::{fat_tree, mini_testbed, FatTreeParams};
 use dibs_net::ids::HostId;
 use dibs_net::topology::LinkSpec;
-use dibs_workload::{BackgroundTraffic, QueryTraffic};
+use dibs_workload::{BackgroundTraffic, QuerySpec, QueryTraffic};
 
 /// Parameters of the §5.3 mixed workload (Table 2).
 #[derive(Debug, Clone, Copy)]
@@ -121,7 +122,7 @@ pub fn testbed_incast_sim(
     let responders: Vec<HostId> = (0..senders)
         .flat_map(|s| std::iter::repeat_n(HostId::from_index(s), flows_per_sender))
         .collect();
-    sim.add_queries(&[dibs_workload::QuerySpec {
+    sim.add_queries(&[QuerySpec {
         start: SimTime::ZERO,
         target: receiver,
         responders,
@@ -132,6 +133,7 @@ pub fn testbed_incast_sim(
 
 /// A pure incast on the K=8 fat-tree: `degree` random responders send
 /// `response_bytes` each to one target — the minimal Figure 1/2 scenario.
+/// The target and responders are [`random_incast`] over [`incast_rng`].
 pub fn single_incast_sim(
     tree: FatTreeParams,
     mut config: SimConfig,
@@ -140,18 +142,32 @@ pub fn single_incast_sim(
 ) -> Simulation {
     let topo = fat_tree(tree);
     let hosts = topo.num_hosts();
-    assert!(degree < hosts);
     config.horizon = SimTime::from_secs(5);
     let mut sim = Simulation::new(topo, config);
-    let mut rng = SimRng::new(config.seed).fork("workload/single-incast");
-    let target = HostId::from_index(rng.below(hosts));
-    sim.add_queries(&[dibs_workload::QuerySpec {
+    let (target, responders) = random_incast(&mut incast_rng(config.seed), hosts, degree);
+    sim.add_queries(&[QuerySpec {
         start: SimTime::ZERO,
         target,
-        responders: dibs_workload::distinct_responders(hosts, target, degree, &mut rng),
+        responders,
         response_bytes,
     }]);
     sim
+}
+
+/// The stream random incasts draw from: the `workload/single-incast` fork
+/// of `seed`. [`single_incast_sim`] and `dibs-cli`'s target-less incasts
+/// both draw from it.
+pub fn incast_rng(seed: u64) -> SimRng {
+    SimRng::new(seed).fork("workload/single-incast")
+}
+
+/// An incast's target, drawn uniformly from `rng`, then `degree` distinct
+/// responders among the other hosts. Panics if `degree` is not below
+/// `hosts`.
+pub fn random_incast(rng: &mut SimRng, hosts: usize, degree: usize) -> (HostId, Vec<HostId>) {
+    let target = HostId::from_index(rng.below(hosts));
+    let responders = dibs_workload::distinct_responders(hosts, target, degree, rng);
+    (target, responders)
 }
 
 #[cfg(test)]

@@ -82,7 +82,7 @@ impl ExperimentRecord {
         names
     }
 
-    /// Renders an aligned text table (what the figure binaries print).
+    /// Renders an aligned text table (what `sweep` prints).
     pub fn to_table(&self) -> String {
         let metrics = self.metric_names();
         let mut out = String::new();

@@ -1,4 +1,4 @@
-//! Minimal dependency-free SVG line charts for the figure binaries.
+//! Minimal dependency-free SVG line charts for the experiment records.
 //!
 //! Every `ExperimentRecord` can render itself as a multi-series line chart
 //! (one series per metric), close enough to the paper's gnuplot figures for

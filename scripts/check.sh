@@ -113,9 +113,9 @@ if [[ $quick -eq 0 ]]; then
         fi
         echo "    three digests identical traced (all, flight:64) vs untraced; Chrome JSON valid"
         # Both exit non-zero when the trace yields no detoured delivery.
-        echo "==> Fig 1 from the trace (fig01_detour_path, detour_trace example)"
+        echo "==> Fig 1 from the trace (sweep fig01_detour_path, detour_trace example)"
         DIBS_RESULTS_DIR="$tmp" cargo run -q -p dibs-bench --release --offline \
-            --bin fig01_detour_path >/dev/null
+            --bin sweep -- fig01_detour_path >/dev/null
         cargo run -q --release --offline --example detour_trace >/dev/null
         echo "    most-detoured packet rebuilt from dibs-trace"
         echo "==> sweep table (fig09 at --jobs 1 and 2 write identical records)"

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Record A/B: regenerates every sweep record and the fig01–fig06 records
-# on a parent revision and on the working tree, and compares them byte for
-# byte. This is the check behind a claim that a refactor leaves every
-# record unchanged.
+# Record A/B: regenerates every record of the experiment table on a parent
+# revision and on the working tree, and compares them byte for byte. This
+# is the check behind a claim that a refactor leaves every record
+# unchanged.
 #
 #   scripts/records_ab.sh <parent-rev> [binary flags...]
 #   scripts/records_ab.sh HEAD~1 --seed 7
@@ -10,9 +10,11 @@
 # Checks the parent out with `git worktree` into a temp dir and builds
 # dibs-bench's binaries on both trees, each with its own CARGO_TARGET_DIR.
 # Then runs `sweep <id> --quick` for every id the working tree's `sweep`
-# lists, and fig01–fig06 at `--quick`, on both sides, with
-# DIBS_RESULTS_DIR pointing into a temp dir per side. Extra arguments
-# (`--seed N`, `--jobs N`) go to every run. `cmp`s each JSON record;
+# lists, on both sides, with DIBS_RESULTS_DIR pointing into a temp dir per
+# side. A parent whose `sweep` does not list an id runs its binary of that
+# name instead (older trees built Figs 1–6 as binaries of their own).
+# Extra arguments (`--seed N`, `--jobs N`) go to every run. `cmp`s each
+# JSON record;
 # exits 1 listing every record that differs, is missing on one side or
 # whose run failed, 2 on a usage error.
 
@@ -40,9 +42,6 @@ cleanup() {
 trap cleanup EXIT
 git worktree add --quiet --detach "$tmp/parent" "$parent_rev"
 
-figs="fig01_detour_path fig02_detour_timeline fig03_hotspot_sparsity fig04_hotlinks
-fig05_neighbor_buffers fig06_testbed_incast"
-
 build() { # <tree> <target>
     (cd "$1" && CARGO_TARGET_DIR=$2 cargo build -q --release --offline -p dibs-bench --bins)
 }
@@ -51,11 +50,15 @@ build "$tmp/parent" "$tmp/parent_build"
 build "$PWD" "$PWD/target"
 
 # `sweep` with no id lists the valid ids and exits 2.
-ids=$( (target/release/sweep 2>&1 || true) | sed -n 's/.*valid ids: //p' | tr -d ',')
+list_ids() { # <bin dir>
+    ("$1/sweep" 2>&1 || true) | sed -n 's/.*valid ids: //p' | tr -d ','
+}
+ids=$(list_ids target/release)
 [[ -n $ids ]] || {
     echo "records_ab: sweep listed no ids" >&2
     exit 1
 }
+parent_ids=" $(list_ids "$tmp/parent_build/release" | tr '\n' ' ') "
 
 failed=()
 run() { # <side> <bin dir> <binary> [args...]
@@ -67,17 +70,18 @@ run() { # <side> <bin dir> <binary> [args...]
 for side in parent change; do
     dir=$PWD/target/release
     [[ $side == parent ]] && dir=$tmp/parent_build/release
-    echo "==> $side: every sweep and fig01–fig06 at --quick ${flags[*]}"
+    echo "==> $side: every id at --quick ${flags[*]}"
     for id in $ids; do
-        run "$side" "$dir" sweep "$id"
-    done
-    for fig in $figs; do
-        run "$side" "$dir" "$fig"
+        if [[ $side == parent && $parent_ids != *" $id "* ]]; then
+            run "$side" "$dir" "$id"
+        else
+            run "$side" "$dir" sweep "$id"
+        fi
     done
 done
 
 differ=()
-for id in $ids $figs; do
+for id in $ids; do
     a=$tmp/records_parent/$id.json b=$tmp/records_change/$id.json
     if [[ ! -f $a || ! -f $b ]]; then
         differ+=("$id (missing)")
@@ -85,7 +89,7 @@ for id in $ids $figs; do
         differ+=("$id")
     fi
 done
-count=$(wc -w <<<"$ids $figs")
+count=$(wc -w <<<"$ids")
 if ((${#failed[@]} + ${#differ[@]})); then
     for f in "${failed[@]}"; do echo "FAILED RUN: $f" >&2; done
     for d in "${differ[@]}"; do echo "DIFFERS: $d" >&2; done
